@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -392,30 +391,5 @@ func TestCalendarPendingQueueLenInvariants(t *testing.T) {
 	check("drained")
 	if k.QueueLen() != 0 {
 		t.Fatalf("drained QueueLen = %d, want 0", k.QueueLen())
-	}
-}
-
-// TestErrMaxEventsTyped pins the livelock guard's error identity on both
-// schedulers: the wrapped error matches ErrMaxEvents via errors.Is, carries
-// the budget in its text, and is distinct from ErrStopped.
-func TestErrMaxEventsTyped(t *testing.T) {
-	for _, name := range SchedulerNames() {
-		k, err := NewNamed(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tick func()
-		tick = func() { k.AtFunc(k.Now(), tick) } // classic livelock: no time progress
-		k.AtFunc(0, tick)
-		err = k.Run(simtime.Forever, 100)
-		if !errors.Is(err, ErrMaxEvents) {
-			t.Fatalf("%s: Run = %v, want errors.Is(_, ErrMaxEvents)", name, err)
-		}
-		if errors.Is(err, ErrStopped) {
-			t.Fatalf("%s: livelock error also matches ErrStopped", name)
-		}
-		if k.Executed() != 100 {
-			t.Fatalf("%s: executed %d events before tripping, want exactly the budget", name, k.Executed())
-		}
 	}
 }

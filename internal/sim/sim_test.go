@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -610,5 +611,28 @@ func TestCompactionTriggersDuringRun(t *testing.T) {
 	}
 	if k.Executed() != 6000 {
 		t.Fatalf("executed %d events, want 6000", k.Executed())
+	}
+}
+
+// TestErrMaxEventsTyped pins the livelock guard's error identity: the
+// wrapped error matches ErrMaxEvents via errors.Is, carries the budget in
+// its text, and is distinct from ErrStopped.
+func TestErrMaxEventsTyped(t *testing.T) {
+	k := New()
+	var tick func()
+	tick = func() { k.AtFunc(k.Now(), tick) } // classic livelock: no time progress
+	k.AtFunc(0, tick)
+	err := k.Run(simtime.Forever, 100)
+	if !errors.Is(err, ErrMaxEvents) {
+		t.Fatalf("Run = %v, want errors.Is(_, ErrMaxEvents)", err)
+	}
+	if errors.Is(err, ErrStopped) {
+		t.Fatal("livelock error also matches ErrStopped")
+	}
+	if !strings.Contains(err.Error(), "100") {
+		t.Fatalf("error %q does not name the budget", err)
+	}
+	if k.Executed() != 100 {
+		t.Fatalf("executed %d events before tripping, want exactly the budget", k.Executed())
 	}
 }
