@@ -11,11 +11,7 @@ import (
 // first contact with the library must work exactly as documented.
 
 func TestFacadeElection(t *testing.T) {
-	res, err := abenet.RunElection(abenet.ElectionConfig{
-		N:    16,
-		A0:   abenet.DefaultA0(16),
-		Seed: 1,
-	})
+	res, err := abenet.Run(abenet.Env{N: 16, Seed: 1}, abenet.Election{A0: abenet.DefaultA0(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,12 +26,8 @@ func TestFacadeElection(t *testing.T) {
 func TestFacadeElectionOnARQLinks(t *testing.T) {
 	// The sensor-network scenario: lossy radio with p = 0.5 and 0.5-unit
 	// slots gives expected delay 1 — an ABE network by Section 1 (iii).
-	res, err := abenet.RunElection(abenet.ElectionConfig{
-		N:     8,
-		A0:    abenet.DefaultA0(8),
-		Links: abenet.ARQLinks(0.5, 0.5),
-		Seed:  2,
-	})
+	res, err := abenet.Run(abenet.Env{N: 8, Links: abenet.ARQLinks(0.5, 0.5), Seed: 2},
+		abenet.Election{A0: abenet.DefaultA0(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +58,14 @@ func TestFacadeDelayConstructors(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	if res, err := abenet.RunItaiRodehSync(8, 0, 1, 0); err != nil || res.Leaders != 1 {
+	env := abenet.Env{N: 8, Seed: 1}
+	if res, err := abenet.Run(env, abenet.ItaiRodehSync{}); err != nil || res.Leaders != 1 {
 		t.Fatalf("sync IR: %+v, %v", res, err)
 	}
-	if res, err := abenet.RunItaiRodehAsync(abenet.AsyncRingConfig{N: 8, Seed: 1}); err != nil || res.Leaders != 1 {
+	if res, err := abenet.Run(env, abenet.ItaiRodehAsync{}); err != nil || res.Leaders != 1 {
 		t.Fatalf("async IR: %+v, %v", res, err)
 	}
-	if res, err := abenet.RunChangRoberts(abenet.ChangRobertsConfig{N: 8, Seed: 1}); err != nil || res.Leaders != 1 {
+	if res, err := abenet.Run(env, abenet.ChangRoberts{}); err != nil || res.Leaders != 1 {
 		t.Fatalf("CR: %+v, %v", res, err)
 	}
 }
@@ -91,46 +84,32 @@ func (p *broadcastProto) Round(ctx abenet.SyncProtocolContext, round int, inbox 
 }
 
 func TestFacadeSynchronizer(t *testing.T) {
-	res, err := abenet.RunSynchronized(abenet.SyncConfig{
-		Kind:  abenet.SyncRound,
-		Graph: abenet.Ring(6),
-		Seed:  3,
-	}, func(int) abenet.SyncProtocol {
-		return &broadcastProto{limit: 15}
+	rep, err := abenet.Run(abenet.Env{Graph: abenet.Ring(6), Seed: 3}, abenet.Synchronized{
+		Kind:     abenet.SyncRound,
+		MakeNode: func(int) abenet.SyncProtocol { return &broadcastProto{limit: 15} },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MessagesPerRound < 6 {
-		t.Fatalf("Theorem 1 violated by facade run: %v msgs/round", res.MessagesPerRound)
+	if perRound := rep.Extra.(abenet.SyncExtra).MessagesPerRound; perRound < 6 {
+		t.Fatalf("Theorem 1 violated by facade run: %v msgs/round", perRound)
 	}
 }
 
 func TestFacadeClockSync(t *testing.T) {
-	abd, err := abenet.RunClockSync(abenet.ClockSyncConfig{
-		Graph:  abenet.Ring(6),
-		Delay:  abenet.Uniform(0, 1),
-		Period: 1.1,
-		Rounds: 100,
-		Seed:   4,
-	})
+	proto := abenet.ClockSync{Period: 1.1, Rounds: 100}
+	abd, err := abenet.Run(abenet.Env{Graph: abenet.Ring(6), Delay: abenet.Uniform(0, 1), Seed: 4}, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if abd.Violations != 0 {
+	if v := abd.Extra.(abenet.ClockSyncExtra).RoundViolations; v != 0 {
 		t.Fatalf("ABD run violated: %+v", abd)
 	}
-	abe, err := abenet.RunClockSync(abenet.ClockSyncConfig{
-		Graph:  abenet.Ring(6),
-		Delay:  abenet.Exponential(0.5),
-		Period: 1.1,
-		Rounds: 100,
-		Seed:   4,
-	})
+	abe, err := abenet.Run(abenet.Env{Graph: abenet.Ring(6), Delay: abenet.Exponential(0.5), Seed: 4}, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if abe.Violations == 0 {
+	if abe.Extra.(abenet.ClockSyncExtra).RoundViolations == 0 {
 		t.Fatal("ABE run produced no violations")
 	}
 }
@@ -146,11 +125,8 @@ func TestFacadeModelChecker(t *testing.T) {
 }
 
 func TestFacadeLiveElection(t *testing.T) {
-	res, err := abenet.RunLiveElection(abenet.LiveElectionConfig{
-		N:         5,
-		MeanDelay: 100 * time.Microsecond,
-		Seed:      5,
-	})
+	res, err := abenet.Run(abenet.Env{N: 5, Seed: 5},
+		abenet.LiveElection{MeanDelay: 100 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +138,8 @@ func TestFacadeLiveElection(t *testing.T) {
 func TestFacadeSweep(t *testing.T) {
 	sweep := abenet.Sweep{Name: "facade", Repetitions: 20, Seed: 6}
 	points, err := sweep.Run([]float64{8, 16, 32}, func(x float64, seed uint64) (abenet.SweepMetrics, error) {
-		res, err := abenet.RunElection(abenet.ElectionConfig{
-			N:    int(x),
-			A0:   abenet.DefaultA0(int(x)),
-			Seed: seed,
-		})
+		res, err := abenet.Run(abenet.Env{N: int(x), Seed: seed},
+			abenet.Election{A0: abenet.DefaultA0(int(x))})
 		if err != nil {
 			return nil, err
 		}
@@ -194,9 +167,7 @@ func TestFacadeClockModels(t *testing.T) {
 		abenet.UniformClocks(0.5, 2),
 		abenet.WanderingClocks(0.5, 2, 1),
 	} {
-		res, err := abenet.RunElection(abenet.ElectionConfig{
-			N: 6, A0: 0.05, Clocks: m, Seed: 7,
-		})
+		res, err := abenet.Run(abenet.Env{N: 6, Clocks: m, Seed: 7}, abenet.Election{A0: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,15 +201,14 @@ func TestFacadeUnifiedRun(t *testing.T) {
 		t.Fatalf("Extra is %T", rep.Extra)
 	}
 
-	// The deprecated shim must agree with the direct Run call exactly.
-	old, err := abenet.RunElection(abenet.ElectionConfig{
-		N: 16, A0: abenet.DefaultA0(16), Seed: 1,
-	})
+	// The balanced default A0 on the canonical environment is the paper's
+	// DefaultA0: spelling it out must not change a single number.
+	explicit, err := abenet.Run(env, abenet.Election{A0: abenet.DefaultA0(16)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.LeaderIndex != rep.LeaderIndex || old.Messages != rep.Messages || old.Time != rep.Time {
-		t.Fatalf("shim diverged from Run:\n shim: %+v\n run:  %+v", old, rep)
+	if explicit.LeaderIndex != rep.LeaderIndex || explicit.Messages != rep.Messages || explicit.Time != rep.Time {
+		t.Fatalf("explicit A0 diverged from the default:\n explicit: %+v\n default:  %+v", explicit, rep)
 	}
 }
 
@@ -269,13 +239,13 @@ func TestFacadePeterson(t *testing.T) {
 	if err := abenet.RequireElected(rep); err != nil {
 		t.Fatal(err)
 	}
-	// Deprecated-style shim, for symmetry with the other baselines.
-	old, err := abenet.RunPeterson(abenet.ChangRobertsConfig{N: 12, Seed: 3})
+	// The random arrangement is the zero value spelled out.
+	random, err := abenet.Run(abenet.Env{N: 12, Seed: 3}, abenet.Peterson{Arrangement: abenet.ArrangementRandom})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.LeaderIndex != rep.LeaderIndex || old.Messages != rep.Messages {
-		t.Fatalf("shim diverged: %+v vs %+v", old, rep)
+	if random.LeaderIndex != rep.LeaderIndex || random.Messages != rep.Messages {
+		t.Fatalf("explicit random arrangement diverged: %+v vs %+v", random, rep)
 	}
 	// The descending arrangement is Peterson's showcase: it stays
 	// O(n log n) where Chang-Roberts goes quadratic.
@@ -320,12 +290,13 @@ func TestFacadeSweepRunProtocol(t *testing.T) {
 }
 
 func TestFacadeClockSyncShimValidation(t *testing.T) {
-	// The deprecated shim keeps the historical contract: zero Period or
-	// Rounds is an error, not a silent default.
-	if _, err := abenet.RunClockSync(abenet.ClockSyncConfig{Graph: abenet.Ring(4), Rounds: 10}); err == nil {
-		t.Fatal("zero period must error")
+	// Zero Period and Rounds select defaults; values no run can use are
+	// errors, not silent defaults.
+	env := abenet.Env{Graph: abenet.Ring(4)}
+	if _, err := abenet.Run(env, abenet.ClockSync{Period: -1, Rounds: 10}); err == nil {
+		t.Fatal("negative period must error")
 	}
-	if _, err := abenet.RunClockSync(abenet.ClockSyncConfig{Graph: abenet.Ring(4), Period: 2}); err == nil {
-		t.Fatal("zero rounds must error")
+	if _, err := abenet.Run(env, abenet.ClockSync{Period: 2, Rounds: -1}); err == nil {
+		t.Fatal("negative rounds must error")
 	}
 }

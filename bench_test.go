@@ -114,11 +114,7 @@ func BenchmarkE16ScalingLadder(b *testing.B) {
 
 func BenchmarkSingleElection64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunElection(abenet.ElectionConfig{
-			N:    64,
-			A0:   abenet.DefaultA0(64),
-			Seed: uint64(i),
-		})
+		res, err := abenet.Run(abenet.Env{N: 64, Seed: uint64(i)}, abenet.Election{A0: abenet.DefaultA0(64)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -130,11 +126,7 @@ func BenchmarkSingleElection64(b *testing.B) {
 
 func BenchmarkSingleElection512(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunElection(abenet.ElectionConfig{
-			N:    512,
-			A0:   abenet.DefaultA0(512),
-			Seed: uint64(i),
-		})
+		res, err := abenet.Run(abenet.Env{N: 512, Seed: uint64(i)}, abenet.Election{A0: abenet.DefaultA0(512)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +138,7 @@ func BenchmarkSingleElection512(b *testing.B) {
 
 func BenchmarkItaiRodehSync64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunItaiRodehSync(64, 0, uint64(i), 0)
+		res, err := abenet.Run(abenet.Env{N: 64, Seed: uint64(i)}, abenet.ItaiRodehSync{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +150,7 @@ func BenchmarkItaiRodehSync64(b *testing.B) {
 
 func BenchmarkChangRoberts64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunChangRoberts(abenet.ChangRobertsConfig{N: 64, Seed: uint64(i)})
+		res, err := abenet.Run(abenet.Env{N: 64, Seed: uint64(i)}, abenet.ChangRoberts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -182,12 +174,8 @@ func BenchmarkModelCheckRing4(b *testing.B) {
 
 func BenchmarkLiveElection8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := abenet.RunLiveElection(abenet.LiveElectionConfig{
-			N:         8,
-			A0:        0.05,
-			MeanDelay: 50 * time.Microsecond,
-			Seed:      uint64(i),
-		})
+		res, err := abenet.Run(abenet.Env{N: 8, Seed: uint64(i)},
+			abenet.LiveElection{A0: 0.05, MeanDelay: 50 * time.Microsecond})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,41 +220,32 @@ func BenchmarkRunElectionHypercube64(b *testing.B) {
 
 // BenchmarkScaleElection runs one rung of the E16 ladder per sub-benchmark:
 // a ring election parameterised for O(n) total events (A0 = 1/n, tick
-// interval n) under each kernel scheduler. Run with -benchtime 1x: each
-// "op" is one complete election, and the attached events/sec metric is the
-// kernel throughput headline BENCH_pr10.json records. The ladder tops out
-// at n = 10⁵ here; the 10⁶ rung costs ~½ minute per scheduler, so it opts
-// in via ABE_BENCH_MILLION=1 (the BENCH_pr10.json one-liner in README.md
-// sets it).
+// interval n). Run with -benchtime 1x: each "op" is one complete election,
+// and the attached events/sec metric is the kernel throughput headline
+// BENCH_pr10.json records. The ladder tops out at n = 10⁵ here; the 10⁶
+// rung costs seconds, so it opts in via ABE_BENCH_MILLION=1 (the
+// BENCH_pr10.json one-liner in README.md sets it).
 func BenchmarkScaleElection(b *testing.B) {
 	sizes := []int{1_000, 10_000, 100_000}
 	if os.Getenv("ABE_BENCH_MILLION") != "" {
 		sizes = append(sizes, 1_000_000)
 	}
-	for _, sched := range abenet.Schedulers() {
-		for _, n := range sizes {
-			b.Run(fmt.Sprintf("%s/n=%d", sched, n), func(b *testing.B) {
-				var events uint64
-				for i := 0; i < b.N; i++ {
-					res, err := abenet.RunElection(abenet.ElectionConfig{
-						N:            n,
-						A0:           1 / float64(n),
-						TickInterval: float64(n),
-						Seed:         1,
-						Scheduler:    sched,
-						MaxEvents:    2_000_000_000,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Leaders != 1 {
-						b.Fatalf("leaders = %d", res.Leaders)
-					}
-					events += res.Events
+	for _, n := range sizes {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				res, err := abenet.Run(abenet.Env{N: n, Seed: 1, MaxEvents: 2_000_000_000},
+					abenet.Election{A0: 1 / float64(n), TickInterval: float64(n)})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-			})
-		}
+				if res.Leaders != 1 {
+					b.Fatalf("leaders = %d", res.Leaders)
+				}
+				events += res.Events
+			}
+			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ func main() {
 func run() error {
 	quick := flag.Bool("quick", false, "use reduced sweeps and repetitions")
 	seed := flag.Uint64("seed", 1, "base seed for all repetitions")
-	scheduler := flag.String("scheduler", "", "kernel event scheduler for -proto/-spec sweeps: heap or calendar (default heap; results are byte-identical either way)")
 	only := flag.String("only", "", "comma-separated experiment ids to run (default: all)")
 	csvDir := flag.String("csv", "", "directory to write per-experiment CSV files (optional)")
 	proto := flag.String("proto", "", "sweep this registry protocol by name instead of the experiment suite")
@@ -66,23 +65,16 @@ func run() error {
 		}
 		if len(clash) > 0 {
 			sort.Strings(clash)
-			return fmt.Errorf("-spec states the scenario; drop %v (only -seed, -scheduler and -workers combine with it)", clash)
+			return fmt.Errorf("-spec states the scenario; drop %v (only -seed and -workers combine with it)", clash)
 		}
 		var seedOverride *uint64
 		if set["seed"] {
 			seedOverride = seed
 		}
-		// The scheduler, like the seed, is not part of the scenario
-		// identity (results are byte-identical across schedulers), so the
-		// flag composes with a spec file as an override.
-		var schedOverride *string
-		if set["scheduler"] {
-			schedOverride = scheduler
-		}
-		return specSweep(*specPath, *workers, seedOverride, schedOverride)
+		return specSweep(*specPath, *workers, seedOverride)
 	}
 	if *proto != "" {
-		return protocolSweep(*proto, *sizes, *reps, *seed, *scheduler, *workers)
+		return protocolSweep(*proto, *sizes, *reps, *seed, *workers)
 	}
 
 	selected := map[string]bool{}
@@ -137,7 +129,7 @@ func run() error {
 // specSweep runs a scenario file's sweep block and renders the table —
 // the CLI face of the same (spec → harness.Sweep) path abe-serve runs, so
 // the numbers match a POST /v1/runs of the same file byte for byte.
-func specSweep(path string, workers int, seedOverride *uint64, schedOverride *string) error {
+func specSweep(path string, workers int, seedOverride *uint64) error {
 	s, err := spec.DecodeFile(path)
 	if err != nil {
 		return err
@@ -147,9 +139,6 @@ func specSweep(path string, workers int, seedOverride *uint64, schedOverride *st
 	}
 	if seedOverride != nil {
 		s.Env.Seed = *seedOverride
-	}
-	if schedOverride != nil {
-		s.Env.Scheduler = *schedOverride
 	}
 	hash, err := s.Hash()
 	if err != nil {
@@ -180,7 +169,7 @@ func specSweep(path string, workers int, seedOverride *uint64, schedOverride *st
 
 // protocolSweep runs any registered protocol over the given sizes through
 // the unified API and renders the aggregated points.
-func protocolSweep(name, sizeList string, reps int, seed uint64, scheduler string, workers int) error {
+func protocolSweep(name, sizeList string, reps int, seed uint64, workers int) error {
 	var xs []float64
 	for _, f := range strings.Split(sizeList, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
@@ -190,7 +179,7 @@ func protocolSweep(name, sizeList string, reps int, seed uint64, scheduler strin
 		xs = append(xs, float64(v))
 	}
 	sweep := abenet.Sweep{Name: "abe-bench/" + name, Repetitions: reps, Seed: seed, Workers: workers}
-	points, err := sweep.RunProtocol(name, abenet.Env{Scheduler: scheduler}, xs, nil)
+	points, err := sweep.RunProtocol(name, abenet.Env{}, xs, nil)
 	if err != nil {
 		return err
 	}

@@ -67,7 +67,6 @@ func run() error {
 	n := flag.Int("n", 16, "network size (hypercube rounds down to a power of two)")
 	a0 := flag.Float64("a0", 0, "election activation parameter (0 = balanced default)")
 	seed := flag.Uint64("seed", 1, "random seed")
-	scheduler := flag.String("scheduler", "", "kernel event scheduler: heap or calendar (default heap; results are byte-identical either way)")
 	delayKind := flag.String("delay", "exp", "delay model: exp, det, uniform, pareto, arq")
 	mean := flag.Float64("mean", 1, "expected link delay δ")
 	drift := flag.Float64("drift", 1, "clock speed ratio s_high/s_low (1 = perfect clocks)")
@@ -123,9 +122,6 @@ func run() error {
 	if *liveMode && (*withTrace || *traceOut != "") {
 		return fmt.Errorf("-live cannot be combined with -trace/-trace-out: the live goroutine runtime has no event kernel to trace")
 	}
-	if *liveMode && set["scheduler"] {
-		return fmt.Errorf("-live cannot be combined with -scheduler: the live goroutine runtime has no event kernel")
-	}
 
 	if *specPath != "" {
 		// A spec file states the whole scenario; flags that would fight it
@@ -141,26 +137,19 @@ func run() error {
 		}
 		if len(clash) > 0 {
 			sort.Strings(clash)
-			return fmt.Errorf("-spec states the scenario; drop %v (only -seed, -scheduler, -trace, -trace-out, -trace-format, -workers, -observe-csv, -json and -dry-run combine with it)", clash)
+			return fmt.Errorf("-spec states the scenario; drop %v (only -seed, -trace, -trace-out, -trace-format, -workers, -observe-csv, -json and -dry-run combine with it)", clash)
 		}
 		var seedOverride *uint64
 		if set["seed"] {
 			seedOverride = seed
 		}
-		// Like the seed, the scheduler is not part of the scenario identity
-		// (runs are byte-identical across schedulers), so the flag composes
-		// with a spec file as an override.
-		var schedOverride *string
-		if set["scheduler"] {
-			schedOverride = scheduler
-		}
-		return runSpec(*specPath, seedOverride, schedOverride, *workers, *dryRun, *withTrace, *jsonOut, *obsCSV, *traceOut, *traceFormat)
+		return runSpec(*specPath, seedOverride, *workers, *dryRun, *withTrace, *jsonOut, *obsCSV, *traceOut, *traceFormat)
 	}
 	if *dryRun {
 		return fmt.Errorf("-dry-run requires -spec")
 	}
 
-	env := abenet.Env{Seed: *seed, Scheduler: *scheduler}
+	env := abenet.Env{Seed: *seed}
 	switch *topo {
 	case "ring":
 		env.N = *n
@@ -322,16 +311,13 @@ func run() error {
 }
 
 // runSpec executes (or just validates) a scenario file.
-func runSpec(path string, seedOverride *uint64, schedOverride *string, workers int, dryRun, withTrace, jsonOut bool, obsCSV, traceOut, traceFormat string) error {
+func runSpec(path string, seedOverride *uint64, workers int, dryRun, withTrace, jsonOut bool, obsCSV, traceOut, traceFormat string) error {
 	s, err := spec.DecodeFile(path)
 	if err != nil {
 		return err
 	}
 	if seedOverride != nil {
 		s.Env.Seed = *seedOverride
-	}
-	if schedOverride != nil {
-		s.Env.Scheduler = *schedOverride
 	}
 	hash, err := s.Hash()
 	if err != nil {

@@ -29,15 +29,9 @@ import (
 	"fmt"
 
 	"abenet/internal/byzantine"
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/core"
-	"abenet/internal/dist"
-	"abenet/internal/faults"
 	"abenet/internal/network"
 	"abenet/internal/probe"
 	"abenet/internal/rng"
-	"abenet/internal/simtime"
 	"abenet/internal/topology"
 )
 
@@ -96,65 +90,11 @@ const (
 	InitHalf
 )
 
-// Config describes one consensus run.
-type Config struct {
-	// Graph must be a complete topology: Ben-Or's counting rules assume
-	// every node hears every node. Required.
-	Graph *topology.Graph
-	// F is the number of adversarial nodes the protocol is provisioned to
-	// tolerate: nodes wait for n−F values per phase. Must satisfy 3F < n
-	// (larger F makes the phase-1 super-majority unreachable). The actual
-	// byzantine.Plan may assign more roles than F — that is how an
-	// experiment probes past the tolerance bound.
-	F int
-	// Init selects the initial-value assignment.
-	Init InitKind
-	// Coin selects the fallback coin.
-	Coin Coin
-	// MaxRounds caps the asynchronous round number; a node reaching it
-	// halts (undecided unless it decided earlier). 0 means 200.
-	MaxRounds int
-	// Delay is the per-link (or per-transmission, under LocalBroadcast)
-	// delay distribution. Nil means Exponential(1).
-	Delay dist.Dist
-	// Links optionally overrides Delay with a full link factory in
-	// point-to-point mode. Must be nil under LocalBroadcast.
-	Links channel.Factory
-	// LocalBroadcast switches the medium to atomic local broadcast.
-	LocalBroadcast bool
-	// Clocks is the local clock model; nil means perfect clocks. The
-	// protocol is purely message-driven, so clocks only affect processing
-	// timing when Processing is set.
-	Clocks clock.Model
-	// Processing is the per-event processing-time model; nil means
-	// instantaneous.
-	Processing dist.Dist
-	// Seed determines the whole run.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-	// Horizon bounds virtual time; 0 means unbounded.
-	Horizon simtime.Time
-	// MaxEvents bounds the event count; 0 means 50e6.
-	MaxEvents uint64
-	// Tracer optionally observes the run.
-	Tracer network.Tracer
-	// Faults optionally injects crash/loss/partition faults.
-	Faults *faults.Plan
-	// Byzantine optionally assigns adversarial roles.
-	Byzantine *byzantine.Plan
-	// Observe optionally samples a time series during the run (see
-	// internal/probe); sampling never perturbs the schedule. Nil disables
-	// collection.
-	Observe *probe.Config
-}
-
-// Result is the outcome of one consensus run. Agreement and Validity are
+// Result is the verdict of one consensus run. Agreement and Validity are
 // judged over honest nodes only (nodes holding no Byzantine role): the
 // classic properties say nothing about what liars output.
 type Result struct {
-	N, F    int
+	F       int
 	Honest  int // number of honest nodes
 	Decided int // honest nodes that decided
 	// Decision is the unanimous honest decision, or -1 when no honest node
@@ -167,7 +107,7 @@ type Result struct {
 	Validity bool
 	// Termination: every honest node decided.
 	Termination bool
-	// Violations describes any agreement/validity breach, for Report.
+	// Violations describes any agreement/validity breach.
 	Violations []string
 	// Rounds is the highest round reached by an honest node.
 	Rounds int
@@ -180,32 +120,118 @@ type Result struct {
 	Ignored int
 	// InitialValues is the assignment the run started from.
 	InitialValues []int8
-	Metrics       network.Metrics
-	Time          float64
-	// Events is the number of kernel events the run executed (a batch of
-	// same-instant deliveries counts as one event).
-	Events    uint64
-	StopCause string
-	Params    core.Params
-	Faults    *faults.Telemetry
-	// Series is the sampled time series, nil without an observe config.
-	Series *probe.Series
 }
 
-// benorProbe exposes the protocol-level gauges of a Ben-Or run: round and
-// phase progress across the live node instances and the count of honest
-// deciders (tracked at the engine so it survives churn restarts).
-type benorProbe struct {
-	nodes   []*node
-	decided *int
+// Instance is the protocol side of one Ben-Or run on a network the caller
+// builds: the node factory, the engine-level decision record (which
+// survives churn restarts), the probe gauges and the verdict.
+type Instance struct {
+	n, f      int
+	coin      Coin
+	coinSeed  uint64
+	maxRounds int32
+	initial   []int8
+	honest    []bool
+
+	honestCount    int
+	decidedHonest  int
+	decisions      []int8
+	decisionRounds []int32
+	nodes          []*node
+	stop           func()
 }
 
-// ProbeGauges implements probe.Observable.
-func (p benorProbe) ProbeGauges() []probe.Gauge {
+// NewInstance prepares a Ben-Or run on graph g, which must be complete:
+// the counting rules assume every node hears every node. f is the
+// provisioned adversary budget — nodes wait for n−f values per phase — and
+// must satisfy 3f < n; the adversary plan may assign more roles than f,
+// which is how an experiment probes past the tolerance bound. maxRounds
+// caps the asynchronous round number (0 means 200); a node reaching it
+// halts. Initial values and the common coin come from dedicated streams of
+// the seed, so neither perturbs the network's node, edge or clock streams.
+func NewInstance(g *topology.Graph, f int, init InitKind, coin Coin, maxRounds int, seed uint64, adversary *byzantine.Plan) (*Instance, error) {
+	if g == nil {
+		return nil, errors.New("consensus: needs a graph")
+	}
+	n := g.N()
+	for u := 0; u < n; u++ {
+		if g.OutDegree(u) != n-1 || len(g.In(u)) != n-1 {
+			return nil, fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
+				u, g.OutDegree(u), len(g.In(u)), n-1, n-1)
+		}
+	}
+	if f < 0 || 3*f >= n {
+		return nil, fmt.Errorf("consensus: f = %d must satisfy 0 <= 3f < n (n = %d): beyond it the phase-1 super-majority is unreachable", f, n)
+	}
+	if maxRounds == 0 {
+		maxRounds = 200
+	}
+	if maxRounds < 1 {
+		return nil, fmt.Errorf("consensus: MaxRounds = %d must be positive", maxRounds)
+	}
+	setup := rng.New(seed)
+	in := &Instance{
+		n: n, f: f, coin: coin,
+		initial:        initialValues(init, n, setup.Derive("consensus/init")),
+		coinSeed:       setup.Derive("consensus/coin").Uint64(),
+		maxRounds:      int32(maxRounds),
+		honest:         make([]bool, n),
+		decisions:      make([]int8, n),
+		decisionRounds: make([]int32, n),
+		nodes:          make([]*node, n),
+	}
+	for i := 0; i < n; i++ {
+		in.honest[i] = !adversary.IsAdversary(i)
+		if in.honest[i] {
+			in.honestCount++
+		}
+		in.decisions[i] = notReceived
+	}
+	return in, nil
+}
+
+// Node builds the protocol instance for node i (also on churn restarts).
+func (in *Instance) Node(i int) network.Node {
+	in.nodes[i] = &node{
+		id: i, n: in.n, f: in.f,
+		est:       in.initial[i],
+		coin:      in.coin,
+		coinSeed:  in.coinSeed,
+		maxRounds: in.maxRounds,
+		onDecide:  in.onDecide,
+	}
+	return in.nodes[i]
+}
+
+// StopWhenDecided makes the run stop as soon as the last honest node
+// decides.
+func (in *Instance) StopWhenDecided(net *network.Network) {
+	in.stop = func() { net.Kernel().Stop("consensus: every honest node decided") }
+}
+
+// onDecide records a decision at the engine, so it survives churn
+// restarts and network teardown.
+func (in *Instance) onDecide(id int, v int8, round int32) {
+	if in.decisions[id] != notReceived {
+		return // a churn-restarted incarnation re-deciding
+	}
+	in.decisions[id] = v
+	in.decisionRounds[id] = round
+	if in.honest[id] {
+		in.decidedHonest++
+		if in.decidedHonest == in.honestCount && in.stop != nil {
+			in.stop()
+		}
+	}
+}
+
+// ProbeGauges implements probe.Observable: round and phase progress across
+// the live node instances and the count of honest deciders.
+func (in *Instance) ProbeGauges() []probe.Gauge {
 	return []probe.Gauge{
 		{Name: "round_max", Read: func() float64 {
 			max := int32(0)
-			for _, nd := range p.nodes {
+			for _, nd := range in.nodes {
 				if nd != nil && nd.round > max {
 					max = nd.round
 				}
@@ -215,7 +241,7 @@ func (p benorProbe) ProbeGauges() []probe.Gauge {
 		{Name: "round_min", Read: func() float64 {
 			min := int32(0)
 			first := true
-			for _, nd := range p.nodes {
+			for _, nd := range in.nodes {
 				if nd == nil {
 					continue
 				}
@@ -233,7 +259,7 @@ func (p benorProbe) ProbeGauges() []probe.Gauge {
 		{Name: "lead_phase", Read: func() float64 {
 			var round int32
 			var phase int8
-			for _, nd := range p.nodes {
+			for _, nd := range in.nodes {
 				if nd == nil {
 					continue
 				}
@@ -243,166 +269,8 @@ func (p benorProbe) ProbeGauges() []probe.Gauge {
 			}
 			return float64(phase)
 		}},
-		{Name: "decided", Read: func() float64 { return float64(*p.decided) }},
+		{Name: "decided", Read: func() float64 { return float64(in.decidedHonest) }},
 	}
-}
-
-// Run executes one consensus instance.
-func Run(cfg Config) (Result, error) {
-	if cfg.Graph == nil {
-		return Result{}, errors.New("consensus: config needs a graph")
-	}
-	n := cfg.Graph.N()
-	for u := 0; u < n; u++ {
-		if cfg.Graph.OutDegree(u) != n-1 || len(cfg.Graph.In(u)) != n-1 {
-			return Result{}, fmt.Errorf("consensus: ben-or requires a complete topology; node %d has degree %d/%d, want %d/%d",
-				u, cfg.Graph.OutDegree(u), len(cfg.Graph.In(u)), n-1, n-1)
-		}
-	}
-	if cfg.F < 0 || 3*cfg.F >= n {
-		return Result{}, fmt.Errorf("consensus: f = %d must satisfy 0 <= 3f < n (n = %d): beyond it the phase-1 super-majority is unreachable", cfg.F, n)
-	}
-	if cfg.LocalBroadcast && cfg.Links != nil {
-		return Result{}, errors.New("consensus: Links and LocalBroadcast are mutually exclusive")
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 200
-	}
-	if maxRounds < 1 {
-		return Result{}, fmt.Errorf("consensus: MaxRounds = %d must be positive", cfg.MaxRounds)
-	}
-	delay := cfg.Delay
-	if delay == nil {
-		delay = dist.NewExponential(1)
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = simtime.Forever
-	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-
-	// Initial values and the common coin come from dedicated streams of
-	// the run root, so neither perturbs the network's node/edge/clock
-	// streams (nor each other).
-	setup := rng.New(cfg.Seed)
-	initial := initialValues(cfg.Init, n, setup.Derive("consensus/init"))
-	coinSeed := setup.Derive("consensus/coin").Uint64()
-
-	honest := make([]bool, n)
-	honestCount := 0
-	for i := 0; i < n; i++ {
-		honest[i] = !cfg.Byzantine.IsAdversary(i)
-		if honest[i] {
-			honestCount++
-		}
-	}
-
-	// Decisions are recorded at the engine so they survive churn restarts
-	// and network teardown; the run stops as soon as the last honest node
-	// decides.
-	decisions := make([]int8, n)
-	decisionRounds := make([]int32, n)
-	for i := range decisions {
-		decisions[i] = notReceived
-	}
-	decidedHonest := 0
-	var netw *network.Network
-	onDecide := func(id int, v int8, round int32) {
-		if decisions[id] != notReceived {
-			return // a churn-restarted incarnation re-deciding
-		}
-		decisions[id] = v
-		decisionRounds[id] = round
-		if honest[id] {
-			decidedHonest++
-			if decidedHonest == honestCount {
-				netw.Kernel().Stop("consensus: every honest node decided")
-			}
-		}
-	}
-
-	nodes := make([]*node, n)
-	makeNode := func(i int) network.Node {
-		nodes[i] = &node{
-			id: i, n: n, f: cfg.F,
-			est:       initial[i],
-			coin:      cfg.Coin,
-			coinSeed:  coinSeed,
-			maxRounds: int32(maxRounds),
-			onDecide:  onDecide,
-		}
-		return nodes[i]
-	}
-	net, err := network.New(network.Config{
-		Graph:          cfg.Graph,
-		Links:          p2pLinks(cfg, delay),
-		LocalBroadcast: cfg.LocalBroadcast,
-		BroadcastDelay: broadcastDelay(cfg, delay),
-		Clocks:         cfg.Clocks,
-		Processing:     cfg.Processing,
-		Seed:           cfg.Seed,
-		Scheduler:      cfg.Scheduler,
-		Tracer:         cfg.Tracer,
-		Faults:         cfg.Faults,
-		Byzantine:      cfg.Byzantine,
-	}, makeNode)
-	if err != nil {
-		return Result{}, fmt.Errorf("consensus: %w", err)
-	}
-	netw = net
-	var collector *probe.Collector
-	if cfg.Observe != nil {
-		collector, err = probe.NewCollector(*cfg.Observe, net, benorProbe{nodes: nodes, decided: &decidedHonest})
-		if err != nil {
-			return Result{}, fmt.Errorf("consensus: %w", err)
-		}
-		net.InstallProbe(collector)
-	}
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return Result{}, fmt.Errorf("consensus: %w", err)
-	}
-
-	res := Result{
-		N: n, F: cfg.F,
-		Honest:        honestCount,
-		Decision:      -1,
-		InitialValues: initial,
-		Metrics:       net.Metrics(),
-		Time:          float64(net.Now()),
-		Events:        net.Kernel().Executed(),
-		StopCause:     net.StopCause(),
-		Params:        core.ParamsOf(net),
-		Faults:        net.FaultTelemetry(),
-	}
-	if collector != nil {
-		collector.Final(net.Now(), net.Kernel().Executed())
-		res.Series = collector.Series()
-	}
-	return judge(res, net, honest, decisions, decisionRounds), nil
-}
-
-// p2pLinks resolves the link factory for point-to-point mode (nil under
-// local broadcast — the network wires radio links instead).
-func p2pLinks(cfg Config, delay dist.Dist) channel.Factory {
-	if cfg.LocalBroadcast {
-		return nil
-	}
-	if cfg.Links != nil {
-		return cfg.Links
-	}
-	return channel.RandomDelayFactory(delay)
-}
-
-// broadcastDelay resolves the radio delay for local-broadcast mode.
-func broadcastDelay(cfg Config, delay dist.Dist) dist.Dist {
-	if !cfg.LocalBroadcast {
-		return nil
-	}
-	return delay
 }
 
 // initialValues builds the deterministic initial assignment.
@@ -425,10 +293,12 @@ func initialValues(kind InitKind, n int, r *rng.Source) []int8 {
 	return initial
 }
 
-// judge fills the outcome fields from the engine-level decision record and
-// the surviving node instances.
-func judge(res Result, net *network.Network, honest []bool, decisions []int8, decisionRounds []int32) Result {
-	n := len(honest)
+// Result judges the run from the engine-level decision record and the
+// surviving node instances.
+func (in *Instance) Result() Result {
+	res := Result{F: in.f, Honest: in.honestCount, Decision: -1, InitialValues: in.initial}
+	honest, decisions, decisionRounds := in.honest, in.decisions, in.decisionRounds
+	n := in.n
 	unanimous := true
 	var initRef int8
 	first := true
@@ -448,7 +318,7 @@ func judge(res Result, net *network.Network, honest []bool, decisions []int8, de
 	res.Validity = true
 	decision := int8(notReceived)
 	for i := 0; i < n; i++ {
-		if nd, ok := net.NodeAt(i).(*node); ok && honest[i] {
+		if nd := in.nodes[i]; honest[i] {
 			if int(nd.round) > res.Rounds {
 				res.Rounds = int(nd.round)
 			}

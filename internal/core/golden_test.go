@@ -1,13 +1,15 @@
-package core
+package core_test
 
 import (
 	"fmt"
 	"testing"
 
+	"abenet/internal/core"
 	"abenet/internal/dist"
+	"abenet/internal/runner"
 )
 
-// TestGoldenSeeds pins the full trajectory of RunElection at seed 42 on
+// TestGoldenSeeds pins the full trajectory of the election at seed 42 on
 // small rings (n = 4, 8, 16) and across every delay family at n = 8. Like
 // TestGoldenRun, the pins are deliberately brittle: a change to the event
 // kernel's tie-breaking, the RNG stream layout, or any distribution's
@@ -47,9 +49,7 @@ func TestGoldenSeeds(t *testing.T) {
 			if !ok {
 				t.Fatalf("unknown delay family %q", g.delay)
 			}
-			res, err := RunElection(ElectionConfig{
-				N: g.n, A0: DefaultA0(g.n), Delay: d, Seed: 42,
-			})
+			res, err := runElection(runner.Env{N: g.n, Delay: d, Seed: 42}, runner.Election{A0: core.DefaultA0(g.n)})
 			if err != nil {
 				t.Fatal(err)
 			}

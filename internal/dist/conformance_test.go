@@ -162,7 +162,7 @@ func TestHeavyTails(t *testing.T) {
 
 // TestBoundedSupport pins the ABD-compatible side: Deterministic and
 // Uniform must never exceed their declared support, making them valid
-// delays for the bounded-delay comparison runs (e.g. RunClockSync's ABD
+// delays for the bounded-delay comparison runs (e.g. the ClockSync ABD
 // baseline).
 func TestBoundedSupport(t *testing.T) {
 	cases := []struct {

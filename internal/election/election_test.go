@@ -1,17 +1,21 @@
-package election
+package election_test
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"abenet/internal/dist"
+	"abenet/internal/election"
 	"abenet/internal/faults"
+	"abenet/internal/runner"
 )
 
 func TestItaiRodehSyncElectsOneLeader(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 16, 64} {
 		for seed := uint64(0); seed < 10; seed++ {
-			res, err := RunItaiRodehSync(n, 0, seed, 0)
+			res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.ItaiRodehSync{})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -27,7 +31,7 @@ func TestItaiRodehSyncLinearMessages(t *testing.T) {
 		const runs = 40
 		total := 0.0
 		for seed := uint64(0); seed < runs; seed++ {
-			res, err := RunItaiRodehSync(n, 0, seed, 0)
+			res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.ItaiRodehSync{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,30 +46,30 @@ func TestItaiRodehSyncLinearMessages(t *testing.T) {
 }
 
 func TestItaiRodehSyncDeterministic(t *testing.T) {
-	a, err := RunItaiRodehSync(16, 0, 7, 0)
+	a, err := runner.Run(runner.Env{N: 16, Seed: 7}, runner.ItaiRodehSync{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunItaiRodehSync(16, 0, 7, 0)
+	b, err := runner.Run(runner.Env{N: 16, Seed: 7}, runner.ItaiRodehSync{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
 	}
 }
 
 func TestItaiRodehSyncValidation(t *testing.T) {
-	if _, err := NewItaiRodehSyncNode(1, 0.5); err == nil {
+	if _, err := election.NewItaiRodehSyncNode(1, 0.5); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := NewItaiRodehSyncNode(4, 0); err == nil {
+	if _, err := election.NewItaiRodehSyncNode(4, 0); err == nil {
 		t.Fatal("q=0 accepted")
 	}
-	if _, err := NewItaiRodehSyncNode(4, 1.5); err == nil {
+	if _, err := election.NewItaiRodehSyncNode(4, 1.5); err == nil {
 		t.Fatal("q>1 accepted")
 	}
-	if _, err := RunItaiRodehSync(1, 0, 1, 0); err == nil {
+	if _, err := runner.Run(runner.Env{N: 1, Seed: 1}, runner.ItaiRodehSync{}); err == nil {
 		t.Fatal("run with n=1 accepted")
 	}
 }
@@ -73,7 +77,7 @@ func TestItaiRodehSyncValidation(t *testing.T) {
 func TestItaiRodehSyncHighQStillTerminates(t *testing.T) {
 	// q=1 means every node is a candidate every phase; termination then
 	// requires n... it never succeeds for n >= 2 within the round budget.
-	_, err := RunItaiRodehSync(4, 1, 1, 200)
+	_, err := runner.Run(runner.Env{N: 4, Seed: 1, MaxRounds: 200}, runner.ItaiRodehSync{Q: 1})
 	if err == nil {
 		t.Fatal("expected round-budget error at q=1 (permanent collisions)")
 	}
@@ -82,7 +86,7 @@ func TestItaiRodehSyncHighQStillTerminates(t *testing.T) {
 func TestItaiRodehAsyncElectsOneLeader(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8, 16, 32} {
 		for seed := uint64(0); seed < 10; seed++ {
-			res, err := RunItaiRodehAsync(AsyncRingConfig{N: n, Seed: seed})
+			res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.ItaiRodehAsync{})
 			if err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 			}
@@ -96,7 +100,7 @@ func TestItaiRodehAsyncElectsOneLeader(t *testing.T) {
 func TestItaiRodehAsyncProperty(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := 2 + int(nRaw)%14
-		res, err := RunItaiRodehAsync(AsyncRingConfig{N: n, Seed: seed})
+		res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.ItaiRodehAsync{})
 		return err == nil && res.Elected && res.Leaders == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -111,7 +115,7 @@ func TestItaiRodehAsyncSuperlinearVsRingSize(t *testing.T) {
 		const runs = 30
 		total := 0.0
 		for seed := uint64(0); seed < runs; seed++ {
-			res, err := RunItaiRodehAsync(AsyncRingConfig{N: n, Seed: seed})
+			res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.ItaiRodehAsync{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +132,7 @@ func TestItaiRodehAsyncSuperlinearVsRingSize(t *testing.T) {
 
 func TestChangRobertsElectsMaxID(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
-		res, err := RunChangRoberts(ChangRobertsConfig{N: 16, Seed: seed})
+		res, err := runner.Run(runner.Env{N: 16, Seed: seed}, runner.ChangRoberts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,10 +147,8 @@ func TestChangRobertsArrangementsBracketCost(t *testing.T) {
 	// classic closed-form counts are exact (random delays perturb them:
 	// early stop cuts in-flight tails, overtaking adds passive forwards).
 	const n = 64
-	runCost := func(a ChangRobertsArrangement) float64 {
-		res, err := RunChangRoberts(ChangRobertsConfig{
-			N: n, Arrangement: a, Delay: dist.NewDeterministic(1), Seed: 3,
-		})
+	runCost := func(a election.ChangRobertsArrangement) float64 {
+		res, err := runner.Run(runner.Env{N: n, Delay: dist.NewDeterministic(1), Seed: 3}, runner.ChangRoberts{Arrangement: a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,9 +157,9 @@ func TestChangRobertsArrangementsBracketCost(t *testing.T) {
 		}
 		return float64(res.Messages)
 	}
-	best := runCost(ArrangementAscending)
-	avg := runCost(ArrangementRandom)
-	worst := runCost(ArrangementDescending)
+	best := runCost(election.ArrangementAscending)
+	avg := runCost(election.ArrangementRandom)
+	worst := runCost(election.ArrangementDescending)
 	// Best case: n-1 purged first-hop tokens + the winner's n-long loop.
 	if best != 2*n-1 {
 		t.Fatalf("best-case messages = %v, want %v", best, 2*n-1)
@@ -173,7 +175,7 @@ func TestChangRobertsArrangementsBracketCost(t *testing.T) {
 
 func TestChangRobertsWorstCaseQuadratic(t *testing.T) {
 	cost := func(n int) float64 {
-		res, err := RunChangRoberts(ChangRobertsConfig{N: n, Arrangement: ArrangementDescending, Seed: 1})
+		res, err := runner.Run(runner.Env{N: n, Seed: 1}, runner.ChangRoberts{Arrangement: election.ArrangementDescending})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +193,7 @@ func TestChangRobertsRobustToDelayShape(t *testing.T) {
 	// count 2n−1 is exact under deterministic delays and a lower bound in
 	// general (reordering can only add passive forwards).
 	for _, d := range []dist.Dist{dist.NewDeterministic(1), dist.NewExponential(1), dist.ParetoWithMean(1, 2)} {
-		res, err := RunChangRoberts(ChangRobertsConfig{N: 32, Arrangement: ArrangementAscending, Delay: d, Seed: 2})
+		res, err := runner.Run(runner.Env{N: 32, Delay: d, Seed: 2}, runner.ChangRoberts{Arrangement: election.ArrangementAscending})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,16 +207,16 @@ func TestChangRobertsRobustToDelayShape(t *testing.T) {
 }
 
 func TestChangRobertsValidation(t *testing.T) {
-	if _, err := RunChangRoberts(ChangRobertsConfig{N: 1}); err == nil {
+	if _, err := runner.Run(runner.Env{N: 1}, runner.ChangRoberts{}); err == nil {
 		t.Fatal("n=1 accepted")
 	}
-	if _, err := RunChangRoberts(ChangRobertsConfig{N: 4, Arrangement: 99}); err == nil {
+	if _, err := runner.Run(runner.Env{N: 4}, runner.ChangRoberts{Arrangement: 99}); err == nil {
 		t.Fatal("unknown arrangement accepted")
 	}
 }
 
 func TestIdentityArrangements(t *testing.T) {
-	asc, err := identityArrangement(5, ArrangementAscending, 0)
+	asc, err := election.Identities(5, election.ArrangementAscending, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestIdentityArrangements(t *testing.T) {
 			t.Fatalf("ascending = %v", asc)
 		}
 	}
-	desc, err := identityArrangement(5, ArrangementDescending, 0)
+	desc, err := election.Identities(5, election.ArrangementDescending, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestIdentityArrangements(t *testing.T) {
 			t.Fatalf("descending = %v", desc)
 		}
 	}
-	rnd, err := identityArrangement(50, ArrangementRandom, 9)
+	rnd, err := election.Identities(50, election.ArrangementRandom, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +247,12 @@ func TestIdentityArrangements(t *testing.T) {
 	}
 }
 
-// TestRunPetersonRejectsFaultPlans pins the engine-level guard: Peterson's
-// reliable-FIFO step protocol refuses fault plans even when called below
-// the runner layer.
+// TestRunPetersonRejectsFaultPlans pins the guard: Peterson's
+// reliable-FIFO step protocol refuses fault plans with the typed error
+// instead of reporting a crash as a measurement.
 func TestRunPetersonRejectsFaultPlans(t *testing.T) {
-	_, err := RunPeterson(ChangRobertsConfig{N: 6, Seed: 1, Faults: &faults.Plan{Loss: 0.1}})
-	if err == nil {
-		t.Fatal("RunPeterson accepted a fault plan")
+	_, err := runner.Run(runner.Env{N: 6, Seed: 1, Faults: &faults.Plan{Loss: 0.1}}, runner.Peterson{})
+	if !errors.Is(err, runner.ErrFaultsUnsupported) {
+		t.Fatalf("Run = %v, want ErrFaultsUnsupported", err)
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"abenet/internal/syncnet"
-	"abenet/internal/topology"
 )
 
 // irsRole is the state of a node in the synchronous phase election.
@@ -124,103 +123,3 @@ func (p *ItaiRodehSyncNode) Round(ctx syncnet.NodeContext, round int, inbox []sy
 		}
 	}
 }
-
-// ItaiRodehSyncResult summarises a synchronous election run.
-type ItaiRodehSyncResult struct {
-	Elected     bool
-	LeaderIndex int
-	Leaders     int
-	Messages    uint64
-	Rounds      int
-}
-
-// ItaiRodehSyncConfig configures a synchronous Itai–Rodeh style election
-// in the option-struct style shared by every other entry point.
-type ItaiRodehSyncConfig struct {
-	// N is the ring size (>= 2). When Graph is set, N must be 0 or equal
-	// to the graph's size.
-	N int
-	// Graph optionally replaces the unidirectional ring with any topology
-	// embedding a directed Hamiltonian cycle. Nil means topology.Ring(N).
-	Graph *topology.Graph
-	// Q is the per-phase candidacy probability; 0 means the balanced
-	// default 1/n.
-	Q float64
-	// Seed drives all node randomness.
-	Seed uint64
-	// MaxRounds bounds the run; 0 means 1000·n.
-	MaxRounds int
-}
-
-// RunItaiRodehSync elects a leader on an anonymous synchronous ring of
-// size n with candidacy probability q (0 means the balanced default 1/n),
-// bounding the run to maxRounds (0 means 1000·n).
-//
-// Deprecated: use RunItaiRodehSyncConfig, which takes the same parameters
-// as an option struct and additionally supports non-ring topologies.
-func RunItaiRodehSync(n int, q float64, seed uint64, maxRounds int) (ItaiRodehSyncResult, error) {
-	return RunItaiRodehSyncConfig(ItaiRodehSyncConfig{N: n, Q: q, Seed: seed, MaxRounds: maxRounds})
-}
-
-// RunItaiRodehSyncConfig elects a leader on an anonymous synchronous ring
-// (or ring-embeddable topology) per cfg.
-func RunItaiRodehSyncConfig(cfg ItaiRodehSyncConfig) (ItaiRodehSyncResult, error) {
-	graph, n, ports, err := AsyncRingConfig{N: cfg.N, Graph: cfg.Graph}.resolve()
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	q := cfg.Q
-	if q == 0 {
-		q = 1 / float64(n)
-	}
-	var buildErr error
-	runner, err := syncnet.New(syncnet.Config{
-		Graph:     graph,
-		Seed:      cfg.Seed,
-		Anonymous: true,
-	}, func(i int) syncnet.Node {
-		node, err := NewItaiRodehSyncNode(n, q)
-		if err != nil {
-			buildErr = err
-			return brokenSyncNode{}
-		}
-		node.sendPort = sendPortAt(ports, i)
-		return node
-	})
-	if buildErr != nil {
-		return ItaiRodehSyncResult{}, buildErr
-	}
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 1000 * n
-	}
-	rounds, err := runner.Run(maxRounds)
-	if err != nil {
-		return ItaiRodehSyncResult{}, err
-	}
-	res := ItaiRodehSyncResult{
-		LeaderIndex: -1,
-		Messages:    runner.Messages(),
-		Rounds:      rounds,
-	}
-	for i := 0; i < runner.N(); i++ {
-		node, ok := runner.NodeAt(i).(*ItaiRodehSyncNode)
-		if !ok {
-			return ItaiRodehSyncResult{}, fmt.Errorf("election: unexpected node type %T", runner.NodeAt(i))
-		}
-		if node.IsLeader() {
-			res.Leaders++
-			res.LeaderIndex = i
-		}
-	}
-	res.Elected = res.Leaders > 0
-	return res, nil
-}
-
-// brokenSyncNode is a placeholder while aborting construction.
-type brokenSyncNode struct{}
-
-func (brokenSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}

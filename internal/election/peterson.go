@@ -3,10 +3,7 @@ package election
 import (
 	"fmt"
 
-	"abenet/internal/channel"
-	"abenet/internal/dist"
 	"abenet/internal/network"
-	"abenet/internal/simtime"
 )
 
 // petersonMessage carries a temporary identity around the ring. Step
@@ -53,6 +50,13 @@ func NewPetersonNode(id int) *PetersonNode {
 
 // IsLeader reports whether this node won.
 func (p *PetersonNode) IsLeader() bool { return p.leader }
+
+// Active reports whether this node is still a candidate.
+func (p *PetersonNode) Active() bool { return p.active }
+
+// SetSendPort sets the out-port leading to the node's ring successor (0 on
+// the natural ring).
+func (p *PetersonNode) SetSendPort(port int) { p.sendPort = port }
 
 // Init implements network.Node: open phase one.
 func (p *PetersonNode) Init(ctx *network.Context) {
@@ -103,83 +107,4 @@ func (p *PetersonNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	default:
 		panic(fmt.Sprintf("election: Peterson message step %d", m.Step))
 	}
-}
-
-// RunPeterson runs Peterson's election on a unidirectional ring with
-// unique identities and FIFO links. Fault plans are rejected at this
-// layer too (not just in the runner): the step protocol hard-fails on the
-// gaps and overtakes every fault axis produces, so running one would
-// report a crash as a measurement.
-func RunPeterson(cfg ChangRobertsConfig) (AsyncRingResult, error) {
-	if cfg.Faults != nil {
-		return AsyncRingResult{}, fmt.Errorf("election: Peterson requires reliable FIFO channels and supports no fault injection")
-	}
-	graph, n, ports, err := cfg.asyncRing().resolve()
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	links := cfg.Links
-	if links == nil {
-		delay := cfg.Delay
-		if delay == nil {
-			delay = dist.NewExponential(1)
-		}
-		links = channel.FIFOFactory(delay) // Peterson requires FIFO
-	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = simtime.Forever
-	}
-	ids, err := identityArrangement(n, cfg.Arrangement, cfg.Seed)
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-
-	nodes := make([]*PetersonNode, n)
-	net, err := network.New(network.Config{
-		Graph:      graph,
-		Links:      links,
-		Clocks:     cfg.Clocks,
-		Processing: cfg.Processing,
-		Seed:       cfg.Seed,
-		Scheduler:  cfg.Scheduler,
-		Tracer:     cfg.Tracer,
-		Faults:     cfg.Faults,
-	}, func(i int) network.Node {
-		nodes[i] = NewPetersonNode(ids[i])
-		nodes[i].sendPort = sendPortAt(ports, i)
-		return nodes[i]
-	})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	collector, err := installProbe(net, cfg.Observe, ringProbe{
-		n:        n,
-		isActive: func(i int) bool { return nodes[i].active },
-		isLeader: func(i int) bool { return nodes[i].leader },
-	})
-	if err != nil {
-		return AsyncRingResult{}, err
-	}
-	if err := net.Run(horizon, maxEvents); err != nil {
-		return AsyncRingResult{}, err
-	}
-	res := AsyncRingResult{LeaderIndex: -1}
-	for i, node := range nodes {
-		if node.IsLeader() {
-			res.Leaders++
-			res.LeaderIndex = i
-		}
-	}
-	res.Elected = res.Leaders > 0
-	res.Messages = net.Metrics().MessagesSent
-	res.Time = float64(net.Now())
-	res.Events = net.Kernel().Executed()
-	res.Faults = net.FaultTelemetry()
-	res.Series = finishProbe(net, collector)
-	return res, nil
 }

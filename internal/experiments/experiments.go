@@ -85,7 +85,7 @@ func All() []Experiment {
 		{"E13", "election under loss (plain vs ARQ)", E13LossResilience},
 		{"E14", "byzantine consensus: point-to-point vs local broadcast", E14ByzantineBroadcast},
 		{"E15", "causal relay depth vs the d+1 bound", E15CausalDepth},
-		{"E16", "million-node scaling ladder (schedulers × sizes)", E16Scale},
+		{"E16", "million-node scaling ladder", E16Scale},
 	}
 }
 

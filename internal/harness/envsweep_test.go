@@ -17,7 +17,7 @@ func TestRunEnvMatchesHandRolledAdapter(t *testing.T) {
 
 	byHand, err := sweep.Run(xs, func(x float64, seed uint64) (Metrics, error) {
 		n := int(x)
-		res, err := core.RunElection(core.ElectionConfig{N: n, A0: core.DefaultA0(n), Seed: seed})
+		res, err := runner.Run(runner.Env{N: n, Seed: seed}, runner.Election{A0: core.DefaultA0(n)})
 		if err != nil {
 			return nil, err
 		}

@@ -121,12 +121,6 @@ type Config struct {
 	Processing dist.Dist
 	// Seed determines every random choice in the run.
 	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation by name
-	// (sim.SchedulerHeap, sim.SchedulerCalendar). Empty means the default
-	// heap. Every scheduler implements the same (time, seq) total order, so
-	// runs are byte-identical across choices — this knob trades queue
-	// performance characteristics only.
-	Scheduler string
 	// Anonymous networks panic if a protocol reads a node identity.
 	Anonymous bool
 	// Tracer observes events; nil disables tracing.
@@ -210,16 +204,11 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		cfg.Clocks = clock.PerfectModel{}
 	}
 
-	kernel, err := sim.NewNamed(cfg.Scheduler)
-	if err != nil {
-		return nil, fmt.Errorf("network: %w", err)
-	}
-
 	n := cfg.Graph.N()
 	root := rng.New(cfg.Seed)
 	net := &Network{
 		cfg:      cfg,
-		kernel:   kernel,
+		kernel:   sim.New(),
 		nodes:    make([]Node, n),
 		ctxs:     make([]*Context, n),
 		links:    make([][]channel.Link, n),

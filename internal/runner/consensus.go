@@ -3,7 +3,9 @@ package runner
 import (
 	"fmt"
 
+	"abenet/internal/channel"
 	"abenet/internal/consensus"
+	"abenet/internal/network"
 	"abenet/internal/topology"
 )
 
@@ -56,52 +58,36 @@ func (p BenOr) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	res, err := consensus.Run(consensus.Config{
-		Graph:          graph,
-		F:              f,
-		Init:           init,
-		Coin:           coin,
-		MaxRounds:      env.MaxRounds,
-		Delay:          env.Delay,
-		Links:          env.Links,
-		LocalBroadcast: env.LocalBroadcast,
-		Clocks:         env.Clocks,
-		Processing:     env.Processing,
-		Seed:           env.Seed,
-		Scheduler:      env.Scheduler,
-		Horizon:        env.Horizon,
-		MaxEvents:      env.MaxEvents,
-		Tracer:         env.Tracer,
-		Faults:         env.Faults,
-		Byzantine:      env.Byzantine,
-		Observe:        env.Observe,
-	})
+	bo, err := consensus.NewInstance(graph, f, init, coin, env.MaxRounds, env.Seed, env.Byzantine)
 	if err != nil {
 		return Report{}, err
 	}
-	return Report{
-		Messages:      res.Metrics.MessagesSent,
-		Transmissions: res.Metrics.Transmissions,
-		Rounds:        res.Rounds,
-		Time:          res.Time,
-		Events:        res.Events,
-		Violations:    res.Violations,
-		Params:        res.Params,
-		Faults:        res.Faults,
-		Series:        res.Series,
-		Extra: ConsensusExtra{
-			F:             res.F,
-			Honest:        res.Honest,
-			Decided:       res.Decided,
-			Decision:      res.Decision,
-			Agreement:     res.Agreement,
-			Validity:      res.Validity,
-			Termination:   res.Termination,
-			DecisionRound: res.DecisionRound,
-			CoinFlips:     res.CoinFlips,
-			Ignored:       res.Ignored,
+	return runNetwork(env, deployment{
+		graph:      graph,
+		discipline: channel.RandomDelayFactory,
+		node:       func(i int) (network.Node, error) { return bo.Node(i), nil },
+		gauges:     bo,
+		built:      bo.StopWhenDecided,
+		physical:   true,
+		extract: func(_ *network.Network, rep *Report) error {
+			res := bo.Result()
+			rep.Rounds = res.Rounds
+			rep.Violations = res.Violations
+			rep.Extra = ConsensusExtra{
+				F:             res.F,
+				Honest:        res.Honest,
+				Decided:       res.Decided,
+				Decision:      res.Decision,
+				Agreement:     res.Agreement,
+				Validity:      res.Validity,
+				Termination:   res.Termination,
+				DecisionRound: res.DecisionRound,
+				CoinFlips:     res.CoinFlips,
+				Ignored:       res.Ignored,
+			}
+			return nil
 		},
-	}, nil
+	})
 }
 
 // parseInit maps the BenOr.Init vocabulary onto consensus.InitKind.

@@ -171,13 +171,13 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 		ClockSync{},
 		LiveElection{},
 		Peterson{}, // reliable-FIFO step protocol: every fault axis breaks it
-		Synchronized{MakeNode: func(int) syncnet.Node { return brokenSyncNode{} }},
+		Synchronized{MakeNode: func(int) syncnet.Node { return idleSyncNode{} }},
 	}
 	for _, p := range unsupported {
 		t.Run(p.Name(), func(t *testing.T) {
 			_, err := Run(Env{N: 4, Seed: 1, Faults: plan}, p)
-			if err == nil {
-				t.Fatalf("%s accepted a fault plan", p.Name())
+			if !errors.Is(err, ErrFaultsUnsupported) {
+				t.Fatalf("%s: Run = %v, want ErrFaultsUnsupported", p.Name(), err)
 			}
 		})
 	}

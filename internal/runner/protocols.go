@@ -6,8 +6,11 @@ import (
 
 	"abenet/internal/channel"
 	"abenet/internal/core"
+	"abenet/internal/dist"
 	"abenet/internal/election"
 	"abenet/internal/live"
+	"abenet/internal/network"
+	"abenet/internal/probe"
 	"abenet/internal/synchronizer"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
@@ -42,13 +45,14 @@ func (Election) Name() string { return "election" }
 
 // Run implements Protocol.
 func (p Election) Run(env Env) (Report, error) {
-	n, err := env.size()
+	if p.KeepRunning && env.Horizon == 0 {
+		return Report{}, fmt.Errorf("runner: KeepRunning requires a finite Horizon (tick timers never quiesce)")
+	}
+	graph, ports, err := env.ring()
 	if err != nil {
 		return Report{}, err
 	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
+	n := graph.N()
 	a0 := p.A0
 	if a0 == 0 {
 		tick := p.TickInterval
@@ -61,59 +65,83 @@ func (p Election) Run(env Env) (Report, error) {
 		}
 		a0 = core.A0ForRing(n, delta, tick, 1)
 	}
-	res, err := core.RunElection(core.ElectionConfig{
-		N:                  env.graphlessN(),
-		Graph:              env.Graph,
-		A0:                 a0,
-		Delay:              env.Delay,
-		Links:              env.Links,
-		Clocks:             env.Clocks,
-		Processing:         env.Processing,
-		TickInterval:       p.TickInterval,
-		ConstantActivation: p.ConstantActivation,
-		KeepRunning:        p.KeepRunning,
-		RecandidacyTimeout: p.RecandidacyTimeout,
-		Horizon:            env.Horizon,
-		MaxEvents:          env.MaxEvents,
-		Seed:               env.Seed,
-		Scheduler:          env.Scheduler,
-		Tracer:             env.Tracer,
-		Faults:             env.Faults,
-		Observe:            env.Observe,
-	})
-	if err != nil {
-		return Report{}, err
+	nodes := make([]*core.ElectionNode, n)
+	// Fault recovery restarts a node as a fresh instance (churn), but the
+	// dead incarnation's measurements — especially any recorded safety
+	// violations — must survive into the report, so fold them in before
+	// the slot is overwritten.
+	var extra ElectionExtra
+	var violations []string
+	retire := func(node *core.ElectionNode) {
+		extra.Activations += node.Activations
+		extra.Knockouts += node.Knockouts
+		extra.ResidualPurges += node.ResidualPurges
+		extra.Recandidacies += node.Recandidacies
+		extra.StalePurges += node.StalePurges
+		violations = append(violations, node.Violations...)
 	}
-	return Report{
-		Elected:       res.Elected,
-		LeaderIndex:   res.LeaderIndex,
-		Leaders:       res.Leaders,
-		Messages:      res.Messages,
-		Transmissions: res.Transmissions,
-		Time:          res.Time,
-		Events:        res.Events,
-		Violations:    res.Violations,
-		Params:        res.Params,
-		Faults:        res.Faults,
-		Series:        res.Series,
-		Extra: ElectionExtra{
-			Activations:    res.Activations,
-			Knockouts:      res.Knockouts,
-			ResidualPurges: res.ResidualPurges,
-			Recandidacies:  res.Recandidacies,
-			StalePurges:    res.StalePurges,
+	return runNetwork(env, deployment{
+		graph:      graph,
+		discipline: channel.RandomDelayFactory,
+		anonymous:  true,
+		physical:   true,
+		node: func(i int) (network.Node, error) {
+			if old := nodes[i]; old != nil {
+				retire(old)
+			}
+			node, err := core.NewElectionNode(core.ElectionNodeConfig{
+				RingSize:           n,
+				A0:                 a0,
+				TickInterval:       p.TickInterval,
+				StopOnLeader:       !p.KeepRunning,
+				ConstantActivation: p.ConstantActivation,
+				SendPort:           portAt(ports, i),
+				RecandidacyTimeout: p.RecandidacyTimeout,
+			})
+			nodes[i] = node
+			return node, err
 		},
-	}, nil
+		gauges: electionGauges(nodes),
+		extract: func(_ *network.Network, rep *Report) error {
+			rep.elect(n, func(i int) bool { return nodes[i].State() == core.Leader })
+			for _, node := range nodes {
+				retire(node)
+			}
+			rep.Violations = violations
+			rep.Extra = extra
+			return nil
+		},
+	})
 }
 
-// graphlessN returns N for engine configs that treat Graph and N as
-// alternatives: 0 when a graph is set (the engine reads the graph's size).
-func (e Env) graphlessN() int {
-	if e.Graph != nil {
-		return 0
+// electionGauges exposes the election's protocol-level gauges over the
+// live node slice. Churn restarts overwrite slots in place, so the gauges
+// always read the current incarnation of each node.
+func electionGauges(nodes []*core.ElectionNode) probe.Observable {
+	count := func(s core.State) func() float64 {
+		return func() float64 {
+			c := 0
+			for _, node := range nodes {
+				if node != nil && node.State() == s {
+					c++
+				}
+			}
+			return float64(c)
+		}
 	}
-	return e.N
+	leaders := count(core.Leader)
+	return gauges{
+		{Name: "candidates", Read: count(core.Active)},
+		{Name: "passive", Read: count(core.Passive)},
+		{Name: "elected", Read: func() float64 { return boolMetric(leaders() > 0) }},
+	}
 }
+
+// gauges is a fixed gauge list as a probe.Observable.
+type gauges []probe.Gauge
+
+// ProbeGauges implements probe.Observable.
+func (g gauges) ProbeGauges() []probe.Gauge { return g }
 
 // ItaiRodehSync is the phase-based Itai–Rodeh style election for anonymous
 // *synchronous* rings — the "most optimal" synchronous baseline the paper
@@ -130,36 +158,51 @@ func (ItaiRodehSync) Name() string { return "itai-rodeh-sync" }
 
 // Run implements Protocol.
 func (p ItaiRodehSync) Run(env Env) (Report, error) {
-	if _, err := env.size(); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunItaiRodehSyncConfig(election.ItaiRodehSyncConfig{
-		N:         env.graphlessN(),
-		Graph:     env.Graph,
-		Q:         p.Q,
-		Seed:      env.Seed,
-		MaxRounds: env.MaxRounds,
-	})
+	graph, ports, err := env.ring()
 	if err != nil {
 		return Report{}, err
 	}
-	return Report{
-		Elected:     res.Elected,
-		LeaderIndex: res.LeaderIndex,
-		Leaders:     res.Leaders,
-		Messages:    res.Messages,
-		Rounds:      res.Rounds,
-	}, nil
+	n := graph.N()
+	q := p.Q
+	if q == 0 {
+		q = 1 / float64(n)
+	}
+	nodes := make([]*election.ItaiRodehSyncNode, n)
+	var buildErr error
+	engine, err := syncnet.New(syncnet.Config{Graph: graph, Seed: env.Seed, Anonymous: true}, func(i int) syncnet.Node {
+		node, err := election.NewItaiRodehSyncNode(n, q)
+		if err != nil {
+			buildErr = err
+			return idleSyncNode{}
+		}
+		node.SetSendPort(portAt(ports, i))
+		nodes[i] = node
+		return node
+	})
+	if buildErr != nil {
+		return Report{}, buildErr
+	}
+	if err != nil {
+		return Report{}, err
+	}
+	maxRounds := env.MaxRounds
+	if maxRounds == 0 {
+		maxRounds = 1000 * n
+	}
+	rounds, err := engine.Run(maxRounds)
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Messages: engine.Messages(), Rounds: rounds}
+	rep.elect(n, func(i int) bool { return nodes[i].IsLeader() })
+	return rep, nil
 }
+
+// idleSyncNode stands in for a synchronous node whose construction failed;
+// the construction error is returned before anything runs.
+type idleSyncNode struct{}
+
+func (idleSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}
 
 // ItaiRodehAsync is the classic Itai–Rodeh election for anonymous
 // asynchronous rings with FIFO channels (Θ(n log n) expected messages).
@@ -172,42 +215,62 @@ func (ItaiRodehAsync) Name() string { return "itai-rodeh-async" }
 
 // Run implements Protocol.
 func (ItaiRodehAsync) Run(env Env) (Report, error) {
-	if err := env.rejectAdversary(ItaiRodehAsync{}.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunItaiRodehAsync(election.AsyncRingConfig{
-		N:          env.graphlessN(),
-		Graph:      env.Graph,
-		Delay:      env.Delay,
-		Links:      env.Links,
-		Clocks:     env.Clocks,
-		Processing: env.Processing,
-		Seed:       env.Seed,
-		Scheduler:  env.Scheduler,
-		Horizon:    env.Horizon,
-		MaxEvents:  env.MaxEvents,
-		Tracer:     env.Tracer,
-		Faults:     env.Faults,
-		Observe:    env.Observe,
+	return runRing(env, channel.FIFOFactory, true, func(n, _ int) (ringNode, error) {
+		return election.NewItaiRodehAsyncNode(n)
 	})
+}
+
+// ringNode is a node of a ring election baseline: it relays along its
+// send port and reports candidacy and leadership.
+type ringNode interface {
+	network.Node
+	SetSendPort(port int)
+	Active() bool
+	IsLeader() bool
+}
+
+// runRing runs a ring election baseline along env's (embedded) ring, with
+// newNode(n, i) on node i and the given channel discipline as the default
+// link factory. Its gauges are the number of active candidates and the
+// elected flag.
+func runRing(env Env, discipline func(dist.Dist) channel.Factory, anonymous bool, newNode func(n, i int) (ringNode, error)) (Report, error) {
+	graph, ports, err := env.ring()
 	if err != nil {
 		return Report{}, err
 	}
-	return asyncRingReport(res), nil
-}
-
-// asyncRingReport converts the shared asynchronous-baseline result.
-func asyncRingReport(res election.AsyncRingResult) Report {
-	return Report{
-		Elected:     res.Elected,
-		LeaderIndex: res.LeaderIndex,
-		Leaders:     res.Leaders,
-		Messages:    res.Messages,
-		Time:        res.Time,
-		Events:      res.Events,
-		Faults:      res.Faults,
-		Series:      res.Series,
+	n := graph.N()
+	nodes := make([]ringNode, n)
+	count := func(pred func(ringNode) bool) int {
+		c := 0
+		for _, node := range nodes {
+			if pred(node) {
+				c++
+			}
+		}
+		return c
 	}
+	return runNetwork(env, deployment{
+		graph:      graph,
+		discipline: discipline,
+		anonymous:  anonymous,
+		node: func(i int) (network.Node, error) {
+			node, err := newNode(n, i)
+			if err != nil {
+				return nil, err
+			}
+			node.SetSendPort(portAt(ports, i))
+			nodes[i] = node
+			return node, nil
+		},
+		gauges: gauges{
+			{Name: "candidates", Read: func() float64 { return float64(count(ringNode.Active)) }},
+			{Name: "elected", Read: func() float64 { return boolMetric(count(ringNode.IsLeader) > 0) }},
+		},
+		extract: func(_ *network.Network, rep *Report) error {
+			rep.elect(n, func(i int) bool { return nodes[i].IsLeader() })
+			return nil
+		},
+	})
 }
 
 // ChangRoberts is the identity-based Chang–Roberts election on
@@ -222,14 +285,23 @@ func (ChangRoberts) Name() string { return "chang-roberts" }
 
 // Run implements Protocol.
 func (p ChangRoberts) Run(env Env) (Report, error) {
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunChangRoberts(changRobertsConfig(env, p.Arrangement))
+	ids, err := identities(env, p.Arrangement)
 	if err != nil {
 		return Report{}, err
 	}
-	return asyncRingReport(res), nil
+	return runRing(env, channel.RandomDelayFactory, false, func(_, i int) (ringNode, error) {
+		return election.NewChangRobertsNode(ids[i]), nil
+	})
+}
+
+// identities lays out the unique identities of the identity-based ring
+// baselines for env's network size.
+func identities(env Env, a election.ChangRobertsArrangement) ([]int, error) {
+	n, err := env.size()
+	if err != nil {
+		return nil, err
+	}
+	return election.Identities(n, a, env.Seed)
 }
 
 // Peterson is Peterson's deterministic O(n log n) election for
@@ -245,39 +317,13 @@ func (Peterson) Name() string { return "peterson" }
 
 // Run implements Protocol.
 func (p Peterson) Run(env Env) (Report, error) {
-	// Peterson's step protocol requires reliable FIFO channels and panics
-	// on gaps; every fault axis violates that contract, so reject plans
-	// instead of reporting a crash as a measurement.
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	res, err := election.RunPeterson(changRobertsConfig(env, p.Arrangement))
+	ids, err := identities(env, p.Arrangement)
 	if err != nil {
 		return Report{}, err
 	}
-	return asyncRingReport(res), nil
-}
-
-func changRobertsConfig(env Env, a election.ChangRobertsArrangement) election.ChangRobertsConfig {
-	return election.ChangRobertsConfig{
-		N:           env.graphlessN(),
-		Graph:       env.Graph,
-		Arrangement: a,
-		Delay:       env.Delay,
-		Links:       env.Links,
-		Clocks:      env.Clocks,
-		Processing:  env.Processing,
-		Seed:        env.Seed,
-		Scheduler:   env.Scheduler,
-		Horizon:     env.Horizon,
-		MaxEvents:   env.MaxEvents,
-		Tracer:      env.Tracer,
-		Faults:      env.Faults,
-		Observe:     env.Observe,
-	}
+	return runRing(env, channel.FIFOFactory, false, func(_, i int) (ringNode, error) {
+		return election.NewPetersonNode(ids[i]), nil
+	})
 }
 
 // Synchronized executes an arbitrary synchronous protocol over the
@@ -303,15 +349,6 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if p.MakeNode == nil {
 		return Report{}, fmt.Errorf("runner: synchronized protocol needs a MakeNode constructor")
 	}
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
 	kind := p.Kind
 	if kind == 0 {
 		kind = synchronizer.KindRound
@@ -320,53 +357,41 @@ func (p Synchronized) Run(env Env) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	var nodes []syncnet.Node
-	res, err := synchronizer.Run(synchronizer.Config{
-		Kind:          kind,
-		Graph:         graph,
-		Links:         env.linkFactory(channel.RandomDelayFactory),
-		Clocks:        env.Clocks,
-		ClusterRadius: p.ClusterRadius,
-		MaxRounds:     env.MaxRounds,
-		MaxEvents:     env.MaxEvents,
-		Seed:          env.Seed,
-		Scheduler:     env.Scheduler,
-		Anonymous:     p.Anonymous,
-	}, func(i int) syncnet.Node {
-		node := p.MakeNode(i)
-		nodes = append(nodes, node)
-		return node
+	n := graph.N()
+	nodes := make([]syncnet.Node, n)
+	sync, err := synchronizer.Deploy(kind, graph, p.ClusterRadius, env.MaxRounds, func(i int) syncnet.Node {
+		nodes[i] = p.MakeNode(i)
+		return nodes[i]
 	})
 	if err != nil {
 		return Report{}, err
 	}
-	rep := syncReport(res)
-	// Count leaders when the synchronous protocol reports them.
-	rep.LeaderIndex = -1
-	for i, node := range nodes {
-		if lr, ok := node.(interface{ IsLeader() bool }); ok && lr.IsLeader() {
-			rep.Leaders++
-			rep.LeaderIndex = i
-		}
-	}
-	rep.Elected = rep.Leaders > 0
-	return rep, nil
-}
-
-// syncReport converts a synchronizer result into the common shape.
-func syncReport(res synchronizer.Result) Report {
-	return Report{
-		Messages: res.Messages,
-		Rounds:   res.Rounds,
-		Time:     res.Time,
-		Extra: SyncExtra{
-			MinRounds:        res.MinRounds,
-			PayloadMessages:  res.PayloadMessages,
-			MessagesPerRound: res.MessagesPerRound,
-			Stopped:          res.Stopped,
-			StopCause:        res.StopCause,
+	return runNetwork(env, deployment{
+		graph:      graph,
+		discipline: channel.RandomDelayFactory,
+		anonymous:  p.Anonymous,
+		node:       func(i int) (network.Node, error) { return sync.Node(i), nil },
+		extract: func(net *network.Network, rep *Report) error {
+			res, err := sync.Result(net)
+			if err != nil {
+				return err
+			}
+			rep.Rounds = res.Rounds
+			rep.Extra = SyncExtra{
+				MinRounds:        res.MinRounds,
+				PayloadMessages:  res.PayloadMessages,
+				MessagesPerRound: res.MessagesPerRound,
+				Stopped:          res.Stopped,
+				StopCause:        res.StopCause,
+			}
+			// Count leaders when the synchronous protocol reports them.
+			rep.elect(n, func(i int) bool {
+				lr, ok := nodes[i].(interface{ IsLeader() bool })
+				return ok && lr.IsLeader()
+			})
+			return nil
 		},
-	}
+	})
 }
 
 // SynchronizedElection runs the synchronous Itai–Rodeh election over a
@@ -385,58 +410,33 @@ func (SynchronizedElection) Name() string { return "synchronized-election" }
 
 // Run implements Protocol.
 func (p SynchronizedElection) Run(env Env) (Report, error) {
-	n, err := env.size()
+	// On non-ring topologies the election's tokens must follow the
+	// embedded Hamiltonian cycle, exactly as the native ring protocols do.
+	graph, ports, err := env.ring()
 	if err != nil {
 		return Report{}, err
 	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
-	// On non-ring topologies the election's tokens must follow the
-	// embedded Hamiltonian cycle, exactly as the native ring protocols do.
-	var ports []int
-	if env.Graph != nil {
-		ports, err = env.Graph.RingEmbedding()
-		if err != nil {
-			return Report{}, fmt.Errorf("runner: %w", err)
-		}
-	}
+	n := graph.N()
 	q := p.Q
 	if q == 0 {
 		q = 1 / float64(n)
 	}
+	if _, err := election.NewItaiRodehSyncNode(n, q); err != nil {
+		return Report{}, err
+	}
 	if env.MaxRounds == 0 {
 		env.MaxRounds = 100_000
 	}
-	var buildErr error
-	rep, err := Synchronized{
+	return Synchronized{
 		Kind:      p.Kind,
 		Anonymous: true,
 		MakeNode: func(i int) syncnet.Node {
-			node, err := election.NewItaiRodehSyncNode(n, q)
-			if err != nil {
-				buildErr = err
-				return brokenSyncNode{}
-			}
-			if ports != nil {
-				node.SetSendPort(ports[i])
-			}
+			node, _ := election.NewItaiRodehSyncNode(n, q) // validated above
+			node.SetSendPort(portAt(ports, i))
 			return node
 		},
 	}.Run(env)
-	if buildErr != nil {
-		return Report{}, buildErr
-	}
-	return rep, err
 }
-
-// brokenSyncNode is a placeholder while aborting construction.
-type brokenSyncNode struct{}
-
-func (brokenSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}
 
 // ClockSync is the clock-driven (Tel–Korach–Zaks style) ABD synchronizer
 // workload: zero control messages, trusting a hard delay bound that ABE
@@ -455,15 +455,6 @@ func (ClockSync) Name() string { return "clock-sync" }
 
 // Run implements Protocol.
 func (p ClockSync) Run(env Env) (Report, error) {
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
-		return Report{}, err
-	}
 	graph, err := env.graph()
 	if err != nil {
 		return Report{}, err
@@ -479,29 +470,23 @@ func (p ClockSync) Run(env Env) (Report, error) {
 	if env.MaxRounds > 0 && rounds > env.MaxRounds {
 		rounds = env.MaxRounds
 	}
-	res, err := synchronizer.RunClockSync(synchronizer.ClockSyncConfig{
-		Graph:     graph,
-		Delay:     env.Delay,
-		Links:     env.Links,
-		Period:    period,
-		Rounds:    rounds,
-		Clocks:    env.Clocks,
-		Seed:      env.Seed,
-		Scheduler: env.Scheduler,
-	})
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Messages: res.Messages,
-		Rounds:   rounds,
-		Time:     res.Time,
-		Extra: ClockSyncExtra{
-			RoundViolations: res.Violations,
-			MaxLateness:     res.MaxLateness,
-			ViolationRate:   res.ViolationRate(),
+	var stats synchronizer.ClockSyncStats
+	return runNetwork(env, deployment{
+		graph:      graph,
+		discipline: channel.RandomDelayFactory,
+		node: func(int) (network.Node, error) {
+			return synchronizer.NewClockSyncNode(period, rounds, &stats)
 		},
-	}, nil
+		extract: func(_ *network.Network, rep *Report) error {
+			rep.Rounds = rounds
+			extra := ClockSyncExtra{RoundViolations: stats.Violations, MaxLateness: stats.MaxLateness}
+			if rep.Messages > 0 {
+				extra.ViolationRate = float64(stats.Violations) / float64(rep.Messages)
+			}
+			rep.Extra = extra
+			return nil
+		},
+	})
 }
 
 // LiveElection runs the paper's election on real goroutines and channels
@@ -532,15 +517,6 @@ func (LiveElection) NondeterministicRuntime() bool { return true }
 func (p LiveElection) Run(env Env) (Report, error) {
 	n, err := env.size()
 	if err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectFaults(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectAdversary(p.Name()); err != nil {
-		return Report{}, err
-	}
-	if err := env.rejectObserve(p.Name()); err != nil {
 		return Report{}, err
 	}
 	if env.Graph != nil && !isUnidirectionalRing(env.Graph) {

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 )
@@ -52,55 +53,81 @@ func ProtocolByName(name string) (Protocol, bool) {
 	return p, ok
 }
 
-// faultCapable names the registered protocols whose engines honour
-// Env.Faults; every other protocol rejects a non-nil plan (see
-// Env.rejectFaults). Kept here, next to the registry, so tools can learn
-// fault capability without running anything.
-var faultCapable = map[string]bool{
-	"election":         true,
-	"chang-roberts":    true,
-	"itai-rodeh-async": true,
-	"ben-or":           true,
+// capability is a set of environment axes a protocol honours.
+type capability uint8
+
+// The environment axes Run checks against a protocol's capabilities.
+const (
+	capFaults capability = 1 << iota
+	capByzantine
+	capBroadcast
+	capObserve
+	capTrace
+)
+
+// capable is implemented by the protocols that honour some environment
+// axis. The method is unexported, so a protocol defined outside this
+// package — like any protocol that declares nothing — honours no axis, and
+// Run fails closed for it instead of silently ignoring the request.
+type capable interface {
+	capabilities() capability
 }
 
-// byzantineCapable names the protocols whose engines honour Env.Byzantine;
-// every other protocol rejects a non-nil plan with ErrByzantineUnsupported
-// (see Env.rejectAdversary).
-var byzantineCapable = map[string]bool{
-	"ben-or": true,
+// capabilitiesOf returns the axes p honours.
+func capabilitiesOf(p Protocol) capability {
+	if c, ok := p.(capable); ok {
+		return c.capabilities()
+	}
+	return 0
 }
 
-// broadcastCapable names the protocols that run on the local-broadcast
-// medium; every other protocol rejects Env.LocalBroadcast with
-// ErrBroadcastUnsupported.
-var broadcastCapable = map[string]bool{
-	"ben-or": true,
+// The capabilities of the protocols that honour some axis. Every event-
+// driven election and consensus engine records a probe series and a causal
+// trace; the fault axes exclude Peterson, whose step protocol hard-fails
+// (by design) on the message gaps and overtakes every fault axis produces.
+func (Election) capabilities() capability       { return capFaults | capObserve | capTrace }
+func (ChangRoberts) capabilities() capability   { return capFaults | capObserve | capTrace }
+func (ItaiRodehAsync) capabilities() capability { return capFaults | capObserve | capTrace }
+func (Peterson) capabilities() capability       { return capObserve | capTrace }
+func (BenOr) capabilities() capability {
+	return capFaults | capByzantine | capBroadcast | capObserve | capTrace
 }
 
-// observeCapable names the protocols whose engines honour Env.Observe
-// (time-series sampling off the kernel's post-event hook); every other
-// protocol rejects a non-nil config with ErrObserveUnsupported (see
-// Env.rejectObserve) — the round-engine and synchronizer protocols have no
-// kernel event stream to sample.
-var observeCapable = map[string]bool{
-	"election":         true,
-	"chang-roberts":    true,
-	"itai-rodeh-async": true,
-	"peterson":         true,
-	"ben-or":           true,
+// axes describes each capability-checked environment axis: whether env
+// sets it, the typed rejection, and the Env field named in the message.
+var axes = []struct {
+	bit   capability
+	set   func(Env) bool
+	err   error
+	field string
+}{
+	{capFaults, func(e Env) bool { return e.Faults != nil }, ErrFaultsUnsupported, "Faults"},
+	{capByzantine, func(e Env) bool { return e.Byzantine != nil }, ErrByzantineUnsupported, "Byzantine"},
+	{capBroadcast, func(e Env) bool { return e.LocalBroadcast }, ErrBroadcastUnsupported, "LocalBroadcast"},
+	{capObserve, func(e Env) bool { return e.Observe != nil }, ErrObserveUnsupported, "Observe"},
+	{capTrace, func(e Env) bool { return e.Trace != nil }, ErrTraceUnsupported, "Trace"},
 }
 
-// traceCapable names the protocols whose engines honour Env.Trace (causal
-// event tracing through network.Tracer). The set coincides with
-// observeCapable today — both require the event-driven network engine —
-// but stays a separate table so a future engine can support one without
-// the other.
-var traceCapable = map[string]bool{
-	"election":         true,
-	"chang-roberts":    true,
-	"itai-rodeh-async": true,
-	"peterson":         true,
-	"ben-or":           true,
+// CheckCapabilities returns the typed rejection (ErrFaultsUnsupported,
+// ErrByzantineUnsupported, ErrBroadcastUnsupported, ErrObserveUnsupported
+// or ErrTraceUnsupported) for the first axis env sets that p does not
+// honour, or nil. Run calls it; decoders call it to reject a scenario that
+// could never run.
+func CheckCapabilities(env Env, p Protocol) error {
+	have := capabilitiesOf(p)
+	for _, ax := range axes {
+		if !ax.set(env) || have&ax.bit != 0 {
+			continue
+		}
+		var capableNames []string
+		for _, name := range Protocols() {
+			if capabilitiesOf(registry[name])&ax.bit != 0 {
+				capableNames = append(capableNames, name)
+			}
+		}
+		return fmt.Errorf("%w: %q ignores Env.%s (honoured by %v)", ax.err, p.Name(), ax.field, capableNames)
+	}
+	return nil
 }
 
 // NondeterministicRuntime is implemented by protocols whose runs are NOT
@@ -177,14 +204,15 @@ func ProtocolInfo(name string) (Info, bool) {
 	if !ok {
 		return Info{}, false
 	}
+	c := capabilitiesOf(p)
 	return Info{
 		Name:              name,
 		Options:           optionFields(p),
-		SupportsFaults:    faultCapable[name],
-		SupportsByzantine: byzantineCapable[name],
-		SupportsBroadcast: broadcastCapable[name],
-		SupportsObserve:   observeCapable[name],
-		SupportsTrace:     traceCapable[name],
+		SupportsFaults:    c&capFaults != 0,
+		SupportsByzantine: c&capByzantine != 0,
+		SupportsBroadcast: c&capBroadcast != 0,
+		SupportsObserve:   c&capObserve != 0,
+		SupportsTrace:     c&capTrace != 0,
 		Deterministic:     isDeterministic(p),
 	}, true
 }

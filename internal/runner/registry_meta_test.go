@@ -61,7 +61,7 @@ func TestNewInstanceIsFresh(t *testing.T) {
 
 // TestInfosCoverRegistry checks that every registered protocol has metadata
 // and that the fault-capability metadata matches the engines' actual
-// behaviour (rejectFaults vs honouring Env.Faults).
+// behaviour (ErrFaultsUnsupported vs honouring Env.Faults).
 func TestInfosCoverRegistry(t *testing.T) {
 	infos := Infos()
 	if len(infos) != len(Protocols()) {

@@ -12,8 +12,12 @@
 //
 //	rep, err := runner.Run(env, proto)
 //
-// is the single door, and the facade's historical Run* functions are thin
-// deprecated shims over it.
+// is the single door. For the event-driven protocols it is also the only
+// code that turns an Env into a running network: each protocol contributes
+// a node factory, its probe gauges, an optional post-build hook and an
+// extractor for its own Report fields, and one pipeline (runNetwork) does
+// the rest — graph and link resolution, run bounds, the network build,
+// probe and trace installation, the run and the common Report fields.
 package runner
 
 import (
@@ -24,11 +28,11 @@ import (
 	"abenet/internal/byzantine"
 	"abenet/internal/channel"
 	"abenet/internal/clock"
+	"abenet/internal/core"
 	"abenet/internal/dist"
 	"abenet/internal/faults"
 	"abenet/internal/network"
 	"abenet/internal/probe"
-	"abenet/internal/sim"
 	"abenet/internal/simtime"
 	"abenet/internal/topology"
 	"abenet/internal/trace"
@@ -69,37 +73,27 @@ type Env struct {
 	Processing dist.Dist
 	// Seed determines the whole run.
 	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation by name:
-	// sim.SchedulerHeap (the default 4-ary heap) or sim.SchedulerCalendar
-	// (a calendar queue with O(1) amortised operations, built for
-	// million-node runs). Empty means the heap. Every scheduler implements
-	// the same (time, seq) total order, so a run is byte-identical across
-	// choices — this is a performance knob, never a semantics knob, and it
-	// is therefore excluded from spec hashes. Protocols without a kernel
-	// (the round engines and the live runtime) ignore it.
-	Scheduler string
 	// Horizon bounds virtual time for event-driven protocols; 0 means
 	// unbounded.
 	Horizon simtime.Time
 	// MaxEvents bounds the number of simulation events for event-driven
-	// protocols; 0 means each protocol's livelock-guard default (50e6).
+	// protocols; 0 means the livelock guard DefaultMaxEvents.
 	MaxEvents uint64
 	// MaxRounds bounds round-based protocols (synchronous engines and
 	// synchronizers); 0 means each protocol's default.
 	MaxRounds int
 	// Tracer optionally observes event-driven runs; nil disables tracing.
-	// Honoured by Election, ItaiRodehAsync, ChangRoberts and Peterson;
-	// the round-engine and synchronizer protocols have no event stream to
-	// trace and ignore it.
+	// The round engine (ItaiRodehSync) and the live runtime have no event
+	// stream to trace and ignore it.
 	Tracer network.Tracer
 	// Faults optionally injects deterministic message faults, node churn
-	// and link outages (see internal/faults). Honoured by the event-driven
-	// network protocols Election, ChangRoberts and ItaiRodehAsync (whose
-	// FIFO assumption tolerates loss and duplication but not Reorder —
-	// reordering an Itai–Rodeh ring measures an assumption violation, not
-	// a robustness property). The remaining protocols, including Peterson
-	// (whose step protocol hard-fails on any gap), reject a non-nil plan
-	// rather than silently running fault-free. Nil keeps every run
+	// and link outages (see internal/faults). Honoured by Election,
+	// ChangRoberts, BenOr and ItaiRodehAsync (whose FIFO assumption
+	// tolerates loss and duplication but not Reorder — reordering an
+	// Itai–Rodeh ring measures an assumption violation, not a robustness
+	// property). Run rejects a non-nil plan on every other protocol,
+	// including Peterson (whose step protocol hard-fails on any gap), with
+	// ErrFaultsUnsupported rather than running fault-free. Nil keeps every run
 	// byte-identical to a fault-free build. Plans with message loss can
 	// deadlock a protocol, so pair them with a finite Horizon.
 	Faults *faults.Plan
@@ -121,10 +115,10 @@ type Env struct {
 	// Observe optionally samples a named time series during the run (see
 	// internal/probe): network gauges plus per-protocol gauges, collected
 	// off the kernel's post-event hook so the run stays byte-identical to
-	// an unobserved one. Honoured by the event-driven network protocols
-	// (election, chang-roberts, itai-rodeh-async, peterson, ben-or); the
-	// round-engine and synchronizer protocols have no event stream to
-	// sample and reject a non-nil config with ErrObserveUnsupported. The
+	// an unobserved one. Honoured by the event-driven election and
+	// consensus protocols (election, chang-roberts, itai-rodeh-async,
+	// peterson, ben-or), which expose protocol gauges; Run rejects a
+	// non-nil config on every other protocol with ErrObserveUnsupported. The
 	// collected series lands in Report.Series and never changes any other
 	// Report field.
 	Observe *probe.Config
@@ -134,7 +128,7 @@ type Env struct {
 	// happens-before parent, capped at Trace.MaxEvents with counted
 	// truncation. Honoured by the same event-driven network protocols as
 	// Observe (election, chang-roberts, itai-rodeh-async, peterson,
-	// ben-or); other protocols reject a non-nil config with
+	// ben-or); Run rejects a non-nil config on every other protocol with
 	// ErrTraceUnsupported. The exported trace lands in Report.Trace and —
 	// like Series — never changes any other Report field: a traced run is
 	// byte-identical to an untraced one. Mutually exclusive with a
@@ -166,14 +160,14 @@ var (
 	// ErrEnvTrace: the trace config fails trace.Config.Validate, or Trace
 	// and a caller-supplied Tracer are both set.
 	ErrEnvTrace = errors.New("runner: invalid trace config")
-	// ErrEnvScheduler: Env.Scheduler names no registered kernel scheduler.
-	ErrEnvScheduler = errors.New("runner: unknown scheduler")
 )
 
-// The structured capability-rejection errors: a protocol that cannot
-// honour an adversarial environment refuses to run rather than silently
-// reporting honest numbers. Classify with errors.Is.
+// The structured capability-rejection errors: Run refuses a protocol that
+// cannot honour an environment axis rather than silently reporting
+// unaffected numbers. Classify with errors.Is.
 var (
+	// ErrFaultsUnsupported: the protocol ignores Env.Faults.
+	ErrFaultsUnsupported = errors.New("runner: protocol does not support fault injection")
 	// ErrByzantineUnsupported: the protocol ignores Env.Byzantine.
 	ErrByzantineUnsupported = errors.New("runner: protocol does not support byzantine adversaries")
 	// ErrBroadcastUnsupported: the protocol runs on point-to-point links
@@ -202,9 +196,6 @@ func (e Env) Validate() error {
 	}
 	if e.Links != nil && e.Delay != nil && e.Delta == 0 {
 		return fmt.Errorf("%w: both Links and Delay are set; declare Delta to state which mean parameterises the protocol defaults (Links wins at run time)", ErrEnvAmbiguousDelay)
-	}
-	if !sim.ValidScheduler(e.Scheduler) {
-		return fmt.Errorf("%w: %q (valid: %v, or empty for the default)", ErrEnvScheduler, e.Scheduler, sim.SchedulerNames())
 	}
 	if err := e.Faults.Validate(n); err != nil {
 		return fmt.Errorf("%w: %v", ErrEnvFaults, err)
@@ -268,44 +259,6 @@ func (e Env) size() (int, error) {
 	return e.N, nil
 }
 
-// rejectFaults is the guard protocols without a fault-capable engine call
-// first: silently ignoring a fault plan would report fault-free numbers as
-// if they had been measured under faults. Peterson also rejects plans —
-// its step protocol hard-fails (by design) on the message gaps and
-// overtakes every fault axis produces.
-func (e Env) rejectFaults(name string) error {
-	if e.Faults != nil {
-		return fmt.Errorf("runner: protocol %q does not support fault injection (Env.Faults is honoured by election, chang-roberts, itai-rodeh-async and ben-or)", name)
-	}
-	return nil
-}
-
-// rejectAdversary is the guard every protocol without a Byzantine-capable
-// engine calls: silently ignoring an adversary plan (or the broadcast
-// medium it is paired with) would report honest point-to-point numbers as
-// adversarial measurements. Only ben-or honours both axes.
-func (e Env) rejectAdversary(name string) error {
-	if e.Byzantine != nil {
-		return fmt.Errorf("%w: %q ignores Env.Byzantine (ben-or honours adversary plans)", ErrByzantineUnsupported, name)
-	}
-	if e.LocalBroadcast {
-		return fmt.Errorf("%w: %q runs on point-to-point links (ben-or honours Env.LocalBroadcast)", ErrBroadcastUnsupported, name)
-	}
-	return nil
-}
-
-// rejectObserve is the guard protocols without an observable event stream
-// call: silently ignoring an observe config would hand back a report with
-// no series where the caller asked for one. The event-driven network
-// protocols honour Env.Observe; the round-engine and synchronizer
-// protocols (and the live runtime) have no kernel event stream to sample.
-func (e Env) rejectObserve(name string) error {
-	if e.Observe != nil {
-		return fmt.Errorf("%w: %q has no kernel event stream to sample (election, chang-roberts, itai-rodeh-async, peterson and ben-or honour Env.Observe)", ErrObserveUnsupported, name)
-	}
-	return nil
-}
-
 // graph returns the concrete topology (building the default ring).
 func (e Env) graph() (*topology.Graph, error) {
 	if e.Graph != nil {
@@ -318,13 +271,27 @@ func (e Env) graph() (*topology.Graph, error) {
 	return topology.Ring(n), nil
 }
 
-// linkFactory resolves Links/Delay into a link factory with the given
-// default discipline applied to the delay distribution.
-func (e Env) linkFactory(wrap func(dist.Dist) channel.Factory) channel.Factory {
-	if e.Links != nil {
-		return e.Links
+// ring returns the concrete topology of a ring protocol and each node's
+// out-port to its ring successor: nil ports on the default ring (port 0
+// everywhere), the embedded directed Hamiltonian cycle on any other graph.
+func (e Env) ring() (*topology.Graph, []int, error) {
+	if e.Graph == nil {
+		g, err := e.graph()
+		return g, nil, err
 	}
-	return wrap(e.delay())
+	ports, err := e.Graph.RingEmbedding()
+	if err != nil {
+		return nil, nil, fmt.Errorf("runner: %w", err)
+	}
+	return e.Graph, ports, nil
+}
+
+// portAt returns node i's successor port (0 on the default ring).
+func portAt(ports []int, i int) int {
+	if ports == nil {
+		return 0
+	}
+	return ports[i]
 }
 
 // delay returns the delay distribution (defaulting to Exponential(1)).
@@ -363,8 +330,8 @@ type Protocol interface {
 
 // Run executes protocol p on environment env: the single entry point every
 // facade function, tool and sweep goes through. The environment is checked
-// by Env.Validate here, so every protocol rejects an invalid Env
-// identically.
+// by Env.Validate and against the protocol's capabilities here, once, so
+// every protocol rejects an invalid or unsupported Env identically.
 func Run(env Env, p Protocol) (Report, error) {
 	if p == nil {
 		return Report{}, errors.New("runner: nil protocol")
@@ -372,14 +339,11 @@ func Run(env Env, p Protocol) (Report, error) {
 	if err := env.Validate(); err != nil {
 		return Report{}, err
 	}
+	if err := CheckCapabilities(env, p); err != nil {
+		return Report{}, err
+	}
 	var rec *trace.Recorder
 	if env.Trace != nil {
-		// Capability is checked centrally off the registry metadata: an
-		// engine that ignores Env.Tracer would otherwise hand back an
-		// empty trace where the caller asked for one.
-		if info, ok := ProtocolInfo(p.Name()); ok && !info.SupportsTrace {
-			return Report{}, fmt.Errorf("%w: %q has no kernel event stream to trace (election, chang-roberts, itai-rodeh-async, peterson and ben-or honour Env.Trace)", ErrTraceUnsupported, p.Name())
-		}
 		rec = trace.NewRecorder(env.Trace.MaxEvents)
 		env.Tracer = rec
 	}
@@ -392,4 +356,130 @@ func Run(env Env, p Protocol) (Report, error) {
 		rep.Trace = rec.Export()
 	}
 	return rep, nil
+}
+
+// DefaultMaxEvents is the livelock guard of an event-driven run whose
+// Env.MaxEvents is 0.
+const DefaultMaxEvents = 50_000_000
+
+// deployment is what one event-driven protocol contributes to a run;
+// runNetwork does everything else.
+type deployment struct {
+	// graph is the topology the protocol runs on.
+	graph *topology.Graph
+	// discipline applies the protocol's channel discipline (random-delay
+	// or FIFO links) to Env.Delay when Env.Links is nil.
+	discipline func(dist.Dist) channel.Factory
+	// anonymous forbids protocol identity reads.
+	anonymous bool
+	// node builds the protocol instance for node i, also on churn
+	// restarts.
+	node func(i int) (network.Node, error)
+	// gauges are the protocol's probe gauges (nil: network gauges only).
+	gauges probe.Observable
+	// built, when set, runs once the network exists, before it runs.
+	built func(net *network.Network)
+	// physical makes the report carry Transmissions and the network's
+	// tightest ABE Params (the election and Ben-Or report shapes).
+	physical bool
+	// extract fills the protocol's own Report fields after the run.
+	extract func(net *network.Network, rep *Report) error
+}
+
+// runNetwork builds the network d describes on env, runs it within env's
+// bounds and returns the report: the common fields filled here, the
+// protocol's own by d.extract.
+func runNetwork(env Env, d deployment) (Report, error) {
+	cfg := network.Config{
+		Graph:          d.graph,
+		Links:          env.Links,
+		Clocks:         env.Clocks,
+		Processing:     env.Processing,
+		Seed:           env.Seed,
+		Anonymous:      d.anonymous,
+		Tracer:         env.Tracer,
+		Faults:         env.Faults,
+		Byzantine:      env.Byzantine,
+		LocalBroadcast: env.LocalBroadcast,
+	}
+	switch {
+	case env.LocalBroadcast:
+		cfg.BroadcastDelay = env.delay()
+	case cfg.Links == nil:
+		cfg.Links = d.discipline(env.delay())
+	}
+	var buildErr error
+	net, err := network.New(cfg, func(i int) network.Node {
+		node, err := d.node(i)
+		if err != nil {
+			buildErr = err
+			return idleNode{}
+		}
+		return node
+	})
+	if buildErr != nil {
+		return Report{}, buildErr
+	}
+	if err != nil {
+		return Report{}, err
+	}
+	if d.built != nil {
+		d.built(net)
+	}
+	var collector *probe.Collector
+	if env.Observe != nil {
+		if collector, err = probe.NewCollector(*env.Observe, net, d.gauges); err != nil {
+			return Report{}, fmt.Errorf("runner: %w", err)
+		}
+		net.InstallProbe(collector)
+	}
+	horizon, maxEvents := env.Horizon, env.MaxEvents
+	if horizon == 0 {
+		horizon = simtime.Forever
+	}
+	if maxEvents == 0 {
+		maxEvents = DefaultMaxEvents
+	}
+	if err := net.Run(horizon, maxEvents); err != nil {
+		return Report{}, err
+	}
+	m := net.Metrics()
+	rep := Report{
+		Messages: m.MessagesSent,
+		Time:     float64(net.Now()),
+		Events:   net.Kernel().Executed(),
+		Faults:   net.FaultTelemetry(),
+	}
+	if d.physical {
+		rep.Transmissions = m.Transmissions
+		rep.Params = core.ParamsOf(net)
+	}
+	if collector != nil {
+		collector.Final(net.Now(), rep.Events)
+		rep.Series = collector.Series()
+	}
+	if err := d.extract(net, &rep); err != nil {
+		return Report{}, err
+	}
+	return rep, nil
+}
+
+// idleNode stands in for a node whose construction failed; runNetwork
+// returns the construction error before anything runs.
+type idleNode struct{}
+
+func (idleNode) Init(*network.Context)                {}
+func (idleNode) OnMessage(*network.Context, int, any) {}
+func (idleNode) OnTimer(*network.Context, int)        {}
+
+// elect fills the election fields from a per-node leader predicate.
+func (r *Report) elect(n int, isLeader func(i int) bool) {
+	r.LeaderIndex = -1
+	for i := 0; i < n; i++ {
+		if isLeader(i) {
+			r.Leaders++
+			r.LeaderIndex = i
+		}
+	}
+	r.Elected = r.Leaders > 0
 }

@@ -9,6 +9,9 @@ import (
 	"abenet/internal/core"
 	"abenet/internal/dist"
 	"abenet/internal/election"
+	"abenet/internal/network"
+	"abenet/internal/simtime"
+	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
@@ -71,40 +74,62 @@ func TestGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunMatchesDirectEngineCalls checks field-for-field that Run produces
-// the same numbers as calling the engines directly — the contract the
-// deprecated facade shims rely on.
+// TestRunMatchesDirectEngineCalls checks that Run produces the numbers of
+// the same run composed by hand from its layers — topology, link factory,
+// network (or round engine) and protocol nodes — so the shared pipeline
+// adds nothing and drops nothing.
 func TestRunMatchesDirectEngineCalls(t *testing.T) {
-	t.Run("election", func(t *testing.T) {
-		direct, err := core.RunElection(core.ElectionConfig{N: 12, A0: core.DefaultA0(12), Seed: 99})
+	// compose builds a network over the default ring with exponential(1)
+	// links and runs it unbounded under the default event guard.
+	compose := func(t *testing.T, n int, seed uint64, links func(dist.Dist) channel.Factory, node func(i int) network.Node) *network.Network {
+		t.Helper()
+		net, err := network.New(network.Config{
+			Graph: topology.Ring(n), Links: links(dist.NewExponential(1)), Seed: seed, Anonymous: true,
+		}, node)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := net.Run(simtime.Forever, DefaultMaxEvents); err != nil {
+			t.Fatal(err)
+		}
+		return net
+	}
+	t.Run("election", func(t *testing.T) {
+		nodes := make([]*core.ElectionNode, 12)
+		net := compose(t, 12, 99, channel.RandomDelayFactory, func(i int) network.Node {
+			node, err := core.NewElectionNode(core.ElectionNodeConfig{RingSize: 12, A0: core.DefaultA0(12), StopOnLeader: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes[i] = node
+			return node
+		})
 		rep, err := Run(Env{N: 12, Seed: 99}, Election{A0: core.DefaultA0(12)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := rep.Extra.(ElectionExtra)
-		roundTrip := core.ElectionResult{
-			Elected:        rep.Elected,
-			LeaderIndex:    rep.LeaderIndex,
-			Leaders:        rep.Leaders,
-			Messages:       rep.Messages,
-			Transmissions:  rep.Transmissions,
-			Time:           rep.Time,
-			Events:         rep.Events,
-			Activations:    ex.Activations,
-			Knockouts:      ex.Knockouts,
-			ResidualPurges: ex.ResidualPurges,
-			Violations:     rep.Violations,
-			Params:         rep.Params,
+		m := net.Metrics()
+		activations := 0
+		for _, node := range nodes {
+			activations += node.Activations
 		}
-		if !reflect.DeepEqual(direct, roundTrip) {
-			t.Fatalf("diverged:\n direct: %+v\n run:    %+v", direct, roundTrip)
+		if nodes[rep.LeaderIndex].State() != core.Leader || m.MessagesSent != rep.Messages ||
+			m.Transmissions != rep.Transmissions || float64(net.Now()) != rep.Time ||
+			net.Kernel().Executed() != rep.Events || core.ParamsOf(net) != rep.Params ||
+			activations != rep.Extra.(ElectionExtra).Activations {
+			t.Fatalf("diverged: composed %+v at %v, run %+v", m, net.Now(), rep)
 		}
 	})
 	t.Run("itai-rodeh-sync", func(t *testing.T) {
-		direct, err := election.RunItaiRodehSync(9, 0, 5, 0)
+		nodes := make([]*election.ItaiRodehSyncNode, 9)
+		engine, err := syncnet.New(syncnet.Config{Graph: topology.Ring(9), Seed: 5, Anonymous: true}, func(i int) syncnet.Node {
+			nodes[i], _ = election.NewItaiRodehSyncNode(9, 1.0/9)
+			return nodes[i]
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds, err := engine.Run(9000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,22 +137,26 @@ func TestRunMatchesDirectEngineCalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if direct.LeaderIndex != rep.LeaderIndex || direct.Messages != rep.Messages ||
-			direct.Rounds != rep.Rounds || direct.Leaders != rep.Leaders {
-			t.Fatalf("diverged:\n direct: %+v\n run:    %+v", direct, rep)
+		if !nodes[rep.LeaderIndex].IsLeader() || engine.Messages() != rep.Messages || rounds != rep.Rounds {
+			t.Fatalf("diverged: composed %d msgs in %d rounds, run %+v", engine.Messages(), rounds, rep)
 		}
 	})
 	t.Run("chang-roberts", func(t *testing.T) {
-		direct, err := election.RunChangRoberts(election.ChangRobertsConfig{N: 10, Seed: 3})
+		ids, err := election.Identities(10, election.ArrangementRandom, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
+		nodes := make([]*election.ChangRobertsNode, 10)
+		net := compose(t, 10, 3, channel.RandomDelayFactory, func(i int) network.Node {
+			nodes[i] = election.NewChangRobertsNode(ids[i])
+			return nodes[i]
+		})
 		rep, err := Run(Env{N: 10, Seed: 3}, ChangRoberts{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if direct.LeaderIndex != rep.LeaderIndex || direct.Messages != rep.Messages || direct.Time != rep.Time {
-			t.Fatalf("diverged:\n direct: %+v\n run:    %+v", direct, rep)
+		if !nodes[rep.LeaderIndex].IsLeader() || net.Metrics().MessagesSent != rep.Messages || float64(net.Now()) != rep.Time {
+			t.Fatalf("diverged: composed %+v at %v, run %+v", net.Metrics(), net.Now(), rep)
 		}
 	})
 }

@@ -2,7 +2,7 @@ package sim
 
 import "abenet/internal/simtime"
 
-// heapScheduler is the default Scheduler: an intrusive 4-ary min-heap
+// eventHeap is the kernel's pending-event set: an intrusive 4-ary min-heap
 // ordered by (at, seq) and stored in a single value slice — the slice
 // doubles as the event pool, so steady-state scheduling allocates nothing.
 // There is no container/heap and no interface boxing on the hot path.
@@ -10,27 +10,22 @@ import "abenet/internal/simtime"
 // Cancellation marks the heap entry dead in place; dead entries are skipped
 // on pop and compacted away wholesale once they outnumber the live ones, so
 // cancel-heavy workloads (ARQ retransmit timers) cannot bloat the heap.
-type heapScheduler struct {
+type eventHeap struct {
 	heap []event // 4-ary min-heap by (at, seq); the slice is the event pool
 	live int     // scheduled, not cancelled — Pending() in O(1)
 	dead int     // cancelled entries still occupying heap slots
 }
 
-func newHeapScheduler() *heapScheduler { return &heapScheduler{} }
-
-func (h *heapScheduler) Name() string { return SchedulerHeap }
-
-func (h *heapScheduler) Pending() int { return h.live }
-
-func (h *heapScheduler) Len() int { return len(h.heap) }
-
-func (h *heapScheduler) Schedule(ev event) {
+// push inserts ev, keeping its ticket index current.
+func (h *eventHeap) push(ev event) {
 	h.live++
 	h.heap = append(h.heap, ev)
 	h.siftUp(len(h.heap) - 1)
 }
 
-func (h *heapScheduler) PeekTime() (simtime.Time, bool) {
+// peekTime returns the instant of the earliest live event, or ok=false
+// when no live events remain.
+func (h *eventHeap) peekTime() (simtime.Time, bool) {
 	h.dropDead()
 	if len(h.heap) == 0 {
 		return 0, false
@@ -38,7 +33,9 @@ func (h *heapScheduler) PeekTime() (simtime.Time, bool) {
 	return h.heap[0].at, true
 }
 
-func (h *heapScheduler) Pop() (event, bool) {
+// pop removes and returns the earliest live event, or ok=false when no
+// live events remain.
+func (h *eventHeap) pop() (event, bool) {
 	h.dropDead()
 	if len(h.heap) == 0 {
 		return event{}, false
@@ -53,7 +50,9 @@ func (h *heapScheduler) Pop() (event, bool) {
 	return ev, true
 }
 
-func (h *heapScheduler) Cancel(t *Ticket) {
+// cancel marks the live entry t references dead and releases its
+// captured state.
+func (h *eventHeap) cancel(t *Ticket) {
 	ev := &h.heap[t.idx]
 	ev.dead = true
 	ev.fn = nil // release captured state promptly
@@ -66,7 +65,7 @@ func (h *heapScheduler) Cancel(t *Ticket) {
 
 // dropDead discards cancelled events sitting at the heap root so the root
 // is either live or the heap is empty.
-func (h *heapScheduler) dropDead() {
+func (h *eventHeap) dropDead() {
 	for len(h.heap) > 0 && h.heap[0].dead {
 		h.popRoot()
 		h.dead--
@@ -76,7 +75,7 @@ func (h *heapScheduler) dropDead() {
 // popRoot removes and returns the root event, maintaining the heap
 // property and ticket back-pointers. The vacated slot is zeroed so the
 // handler's captures are released.
-func (h *heapScheduler) popRoot() event {
+func (h *eventHeap) popRoot() event {
 	ev := h.heap[0]
 	n := len(h.heap) - 1
 	if n > 0 {
@@ -93,7 +92,7 @@ func (h *heapScheduler) popRoot() event {
 // siftUp restores the heap property for the entry at index i by moving it
 // towards the root, updating ticket back-pointers of displaced entries. It
 // returns the entry's final index.
-func (h *heapScheduler) siftUp(i int) int {
+func (h *eventHeap) siftUp(i int) int {
 	ev := h.heap[i]
 	for i > 0 {
 		p := (i - 1) / 4
@@ -115,7 +114,7 @@ func (h *heapScheduler) siftUp(i int) int {
 
 // siftDown restores the heap property for the entry at index i by moving it
 // towards the leaves, updating ticket back-pointers of displaced entries.
-func (h *heapScheduler) siftDown(i int) {
+func (h *eventHeap) siftDown(i int) {
 	n := len(h.heap)
 	ev := h.heap[i]
 	for {
@@ -152,7 +151,7 @@ func (h *heapScheduler) siftDown(i int) {
 // the live ones (and the heap is big enough for the sweep to pay off). The
 // trigger depends only on counters, so compaction — like everything else
 // here — is a deterministic function of the schedule.
-func (h *heapScheduler) maybeCompact() {
+func (h *eventHeap) maybeCompact() {
 	if len(h.heap) >= compactMinLen && h.dead > len(h.heap)/2 {
 		h.compact()
 	}
@@ -161,7 +160,7 @@ func (h *heapScheduler) maybeCompact() {
 // compact removes every dead entry in one pass and re-establishes the heap
 // property and ticket back-pointers. Pop order is unaffected: (at, seq)
 // is a total order, so any heap over the same live set pops identically.
-func (h *heapScheduler) compact() {
+func (h *eventHeap) compact() {
 	liveEvents := h.heap[:0]
 	for i := range h.heap {
 		if !h.heap[i].dead {

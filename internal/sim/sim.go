@@ -10,22 +10,13 @@
 //
 // # Scheduling internals
 //
-// The pending-event set lives behind the Scheduler interface. Two
-// implementations ship with the package, selectable per run:
+// The pending-event set is an intrusive 4-ary min-heap ordered by
+// (instant, insertion sequence) and stored in a single value slice; the
+// slice doubles as the event pool, so steady-state scheduling allocates
+// nothing. A calendar queue was measured against it up to 10⁶ nodes and
+// never won, so the heap is the only implementation.
 //
-//   - "heap" (default) — an intrusive 4-ary min-heap ordered by
-//     (instant, insertion sequence) and stored in a single value slice; the
-//     slice doubles as the event pool, so steady-state scheduling allocates
-//     nothing.
-//   - "calendar" — a calendar queue (Brown 1988, as in ns-3): a wheel of
-//     time-windowed buckets with amortized O(1) enqueue/dequeue, which wins
-//     at very large pending-event populations (million-node runs) where the
-//     heap's O(log n) reshuffle per event starts to bite.
-//
-// Both pop events in exactly (instant, sequence) order, so executions are
-// byte-identical across schedulers — the differential suite pins that.
-//
-// Two API tiers sit on top of the scheduler:
+// Two API tiers sit on top of the heap:
 //
 //   - AtFunc / AfterFunc / AtArg — the ticketless fast path. No per-event
 //     allocation at all; use these whenever the caller never cancels
@@ -36,7 +27,7 @@
 //     live ones, so cancel-heavy workloads (ARQ retransmit timers) cannot
 //     bloat the schedule.
 //
-// Pending() is O(1): the scheduler tracks the live-event count directly.
+// Pending() is O(1): the heap tracks the live-event count directly.
 package sim
 
 import (
@@ -67,7 +58,7 @@ type Handler func()
 type ArgHandler func(arg uint32)
 
 // event is one entry in the pending-event set. Events are stored by value
-// inside the scheduler's slices; they are never heap-allocated
+// inside the heap slice; they are never heap-allocated
 // individually.
 type event struct {
 	at     simtime.Time
@@ -80,8 +71,8 @@ type event struct {
 }
 
 // less orders events by (at, seq). seq is unique per kernel, so the order
-// is total and every correct scheduler pops the exact same sequence — the
-// golden-seed pins depend on that.
+// is total and any heap over the same events pops the exact same sequence —
+// the golden-seed pins depend on that.
 func less(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -89,21 +80,14 @@ func less(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// doneIdx marks a ticket whose event already ran or was cancelled. It is
-// deliberately distinct from the schedulers' internal location encodings
-// (the calendar queue uses another negative sentinel for its overflow
-// area), so only -1 ever means "gone".
+// doneIdx marks a ticket whose event already ran or was cancelled.
 const doneIdx = -1
 
 // Ticket identifies a scheduled event so it can be cancelled. The zero value
 // is not a valid ticket; tickets come from Kernel.At and Kernel.After.
-// The idx/slot pair is the scheduler-maintained location of the entry:
-// the heap uses idx alone (heap index), the calendar queue uses
-// (bucket, position-in-bucket).
 type Ticket struct {
-	k    *Kernel
-	idx  int // scheduler location; doneIdx once it ran or was cancelled
-	slot int // secondary location coordinate (calendar queue only)
+	k   *Kernel
+	idx int // heap index of the entry; doneIdx once it ran or was cancelled
 }
 
 // Cancel removes the event from the schedule if it has not run yet. Cancel
@@ -115,7 +99,7 @@ func (t *Ticket) Cancel() bool {
 	if t == nil || t.k == nil || t.idx == doneIdx {
 		return false
 	}
-	t.k.sched.Cancel(t)
+	t.k.q.cancel(t)
 	t.idx = doneIdx
 	return true
 }
@@ -128,12 +112,12 @@ func (t *Ticket) Pending() bool { return t != nil && t.k != nil && t.idx != done
 const compactMinLen = 64
 
 // Kernel is a discrete-event scheduler. The zero value is not usable; create
-// one with New, NewWith or NewNamed. Kernel is not safe for concurrent use:
+// one with New. Kernel is not safe for concurrent use:
 // simulations are single-threaded by design, and cross-run parallelism is
 // achieved by running independent Kernels on separate goroutines.
 type Kernel struct {
 	now       simtime.Time
-	sched     Scheduler
+	q         eventHeap
 	seq       uint64
 	executed  uint64
 	stopped   bool
@@ -142,34 +126,8 @@ type Kernel struct {
 	observer  func() // post-event hook; see SetObserver
 }
 
-// New returns an empty kernel at virtual time zero, backed by the default
-// 4-ary heap scheduler.
-func New() *Kernel {
-	return &Kernel{sched: newHeapScheduler()}
-}
-
-// NewWith returns an empty kernel backed by the given scheduler. A nil
-// scheduler selects the default heap.
-func NewWith(s Scheduler) *Kernel {
-	if s == nil {
-		s = newHeapScheduler()
-	}
-	return &Kernel{sched: s}
-}
-
-// NewNamed returns an empty kernel backed by the named scheduler (see
-// NewScheduler). The empty name selects the default heap.
-func NewNamed(name string) (*Kernel, error) {
-	s, err := NewScheduler(name)
-	if err != nil {
-		return nil, err
-	}
-	return &Kernel{sched: s}, nil
-}
-
-// SchedulerName returns the registry name of the scheduler backing this
-// kernel.
-func (k *Kernel) SchedulerName() string { return k.sched.Name() }
+// New returns an empty kernel at virtual time zero.
+func New() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() simtime.Time { return k.now }
@@ -188,14 +146,14 @@ func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 // Pending returns the number of scheduled (not yet executed, not cancelled)
 // events in O(1). Cancelled events still occupying storage slots are not
 // counted.
-func (k *Kernel) Pending() int { return k.sched.Pending() }
+func (k *Kernel) Pending() int { return k.q.live }
 
 // QueueLen returns the number of storage slots currently in use, including
 // cancelled entries that have not been compacted away yet. It exists for
 // capacity accounting and tests: QueueLen−Pending is the dead backlog,
 // and compaction (triggered when dead entries outnumber live ones) keeps
 // QueueLen at most 2·Pending+compactMinLen.
-func (k *Kernel) QueueLen() int { return k.sched.Len() }
+func (k *Kernel) QueueLen() int { return len(k.q.heap) }
 
 // schedule validates and enqueues one event.
 func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint32, ticket *Ticket) {
@@ -208,7 +166,7 @@ func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint3
 	if at.Before(k.now) {
 		panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
 	}
-	k.sched.Schedule(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg, ticket: ticket})
+	k.q.push(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg, ticket: ticket})
 	k.seq++
 }
 
@@ -301,7 +259,7 @@ func (k *Kernel) Run(horizon simtime.Time, maxEvents uint64) error {
 		if k.stopped {
 			return ErrStopped
 		}
-		at, ok := k.sched.PeekTime()
+		at, ok := k.q.peekTime()
 		if !ok {
 			return nil // drained
 		}
@@ -339,7 +297,7 @@ func (k *Kernel) StepWithin(horizon simtime.Time) bool {
 	if k.stopped {
 		return false
 	}
-	at, ok := k.sched.PeekTime()
+	at, ok := k.q.peekTime()
 	if !ok {
 		return false
 	}
@@ -355,7 +313,7 @@ func (k *Kernel) StepWithin(horizon simtime.Time) bool {
 
 // execute pops the earliest live event (which must exist) and runs it.
 func (k *Kernel) execute() {
-	ev, ok := k.sched.Pop()
+	ev, ok := k.q.pop()
 	if !ok {
 		panic("sim: execute with an empty schedule")
 	}

@@ -33,6 +33,10 @@ const (
 	MaxSweepRuns = 10_000_000
 )
 
+// ErrUnknownScheduler: env.scheduler names no scheduler a stored spec could
+// have been written with.
+var ErrUnknownScheduler = errors.New("spec: unknown scheduler")
+
 // BuildEnv constructs the runner.Env the spec describes. The returned
 // environment is not yet validated against the protocol — runner.Run does
 // that — but every component is constructed, so component-level errors
@@ -82,7 +86,11 @@ func (s *Spec) BuildEnv() (runner.Env, error) {
 		env.Processing = d
 	}
 	env.Seed = e.Seed
-	env.Scheduler = e.Scheduler
+	switch e.Scheduler {
+	case "", "heap", "calendar":
+	default:
+		return runner.Env{}, fmt.Errorf("%w: %q (the kernel has one event queue; stored specs may name \"heap\" or \"calendar\")", ErrUnknownScheduler, e.Scheduler)
+	}
 	if e.Horizon < 0 || math.IsInf(e.Horizon, 0) {
 		return runner.Env{}, fmt.Errorf("spec: horizon %g must be finite and non-negative", e.Horizon)
 	}
@@ -158,72 +166,17 @@ func (s *Spec) validate() error {
 	if err != nil {
 		return err
 	}
-	// A fault plan on a protocol whose engine rejects plans is a scenario
-	// that can never run; the registry metadata knows, so say so at decode
-	// time instead of handing abe-serve a job guaranteed to fail.
-	if s.Env.Faults != nil {
-		if info, ok := runner.ProtocolInfo(s.Protocol.Name); ok && !info.SupportsFaults {
-			var capable []string
-			for _, i := range runner.Infos() {
-				if i.SupportsFaults {
-					capable = append(capable, i.Name)
-				}
-			}
-			return fmt.Errorf("spec: protocol %q does not support fault injection (fault-capable: %v)", s.Protocol.Name, capable)
-		}
+	// An environment axis the protocol cannot honour is a scenario that
+	// can never run, so say so at decode time instead of handing abe-serve
+	// a job guaranteed to fail.
+	if err := runner.CheckCapabilities(env, s.Protocol.proto); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
-	// Same decode-time rejection for the adversarial axes: a Byzantine plan
-	// or the broadcast medium on a protocol that rejects them is a scenario
-	// guaranteed to fail at run time.
-	if s.Env.Byzantine != nil {
-		if info, ok := runner.ProtocolInfo(s.Protocol.Name); ok && !info.SupportsByzantine {
-			var capable []string
-			for _, i := range runner.Infos() {
-				if i.SupportsByzantine {
-					capable = append(capable, i.Name)
-				}
-			}
-			return fmt.Errorf("spec: protocol %q does not support byzantine adversaries (byzantine-capable: %v)", s.Protocol.Name, capable)
-		}
+	if s.Env.Observe != nil && s.Sweep != nil {
+		return errors.New(`spec: "observe" applies to a single run; a sweep streams per-point completions instead — drop one of the two blocks`)
 	}
-	if s.Env.LocalBroadcast {
-		if info, ok := runner.ProtocolInfo(s.Protocol.Name); ok && !info.SupportsBroadcast {
-			var capable []string
-			for _, i := range runner.Infos() {
-				if i.SupportsBroadcast {
-					capable = append(capable, i.Name)
-				}
-			}
-			return fmt.Errorf("spec: protocol %q does not support the local-broadcast medium (broadcast-capable: %v)", s.Protocol.Name, capable)
-		}
-	}
-	if s.Env.Observe != nil {
-		if info, ok := runner.ProtocolInfo(s.Protocol.Name); ok && !info.SupportsObserve {
-			var capable []string
-			for _, i := range runner.Infos() {
-				if i.SupportsObserve {
-					capable = append(capable, i.Name)
-				}
-			}
-			return fmt.Errorf("spec: protocol %q does not support time-series observation (observe-capable: %v)", s.Protocol.Name, capable)
-		}
-		if s.Sweep != nil {
-			return errors.New(`spec: "observe" applies to a single run; a sweep streams per-point completions instead — drop one of the two blocks`)
-		}
-	}
-	if s.Env.Trace != nil {
-		if info, ok := runner.ProtocolInfo(s.Protocol.Name); ok && !info.SupportsTrace {
-			var capable []string
-			for _, i := range runner.Infos() {
-				if i.SupportsTrace {
-					capable = append(capable, i.Name)
-				}
-			}
-			return fmt.Errorf("spec: protocol %q does not support causal tracing (trace-capable: %v)", s.Protocol.Name, capable)
-		}
-		if s.Sweep != nil {
-			return errors.New(`spec: "trace" applies to a single run; tracing every run of a sweep would multiply its memory by the event cap — drop one of the two blocks`)
-		}
+	if s.Env.Trace != nil && s.Sweep != nil {
+		return errors.New(`spec: "trace" applies to a single run; tracing every run of a sweep would multiply its memory by the event cap — drop one of the two blocks`)
 	}
 	if sw := s.Sweep; sw != nil {
 		if len(sw.Xs) == 0 {

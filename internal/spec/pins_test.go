@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"path/filepath"
 	"testing"
+
+	"abenet/internal/runner"
 )
 
 // fixtureHashes pins Hash() of every committed example spec. The hash is
@@ -121,5 +124,26 @@ func TestFixtureMetricsPinned(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != fixtureMetrics[key] {
 			t.Errorf("%q: metrics digest %s, pinned %s", key, got, fixtureMetrics[key])
 		}
+	}
+}
+
+// TestSchedulerFieldCompatibility: env.scheduler names a stored spec may
+// carry decode and are ignored; any other name fails with the typed error.
+func TestSchedulerFieldCompatibility(t *testing.T) {
+	spec := func(name string) []byte {
+		return []byte(`{"version":1,"env":{"n":8,"seed":5,"scheduler":"` + name + `"},"protocol":{"name":"election"}}`)
+	}
+	for _, name := range []string{"", "heap", "calendar"} {
+		if _, err := DecodeBytes(spec(name)); err != nil {
+			t.Errorf("scheduler %q: %v", name, err)
+		}
+	}
+	_, err := DecodeBytes(spec("splay"))
+	if !errors.Is(err, ErrUnknownScheduler) {
+		t.Fatalf("scheduler \"splay\": %v, want ErrUnknownScheduler", err)
+	}
+	s := &Spec{Version: Version, Env: EnvSpec{N: 8, Scheduler: "splay"}, Protocol: protoSpec(t, runner.Election{})}
+	if _, _, err := s.Build(); !errors.Is(err, ErrUnknownScheduler) {
+		t.Fatalf("Build = %v, want ErrUnknownScheduler", err)
 	}
 }

@@ -84,12 +84,12 @@ type EnvSpec struct {
 	Processing *DistSpec `json:"processing,omitempty"`
 	// Seed determines the run; it is excluded from Hash().
 	Seed uint64 `json:"seed,omitempty"`
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Excluded from Hash():
-	// every scheduler implements the same (time, seq) total order, so runs
-	// are byte-identical across choices — the differential suite at the
-	// repo root pins this — and a performance knob must not split the
-	// scenario identity (existing spec hashes are unchanged by this field).
+	// Scheduler is accepted for stored specs written when the kernel had a
+	// choice of event queue: "", "heap" and "calendar" decode and are
+	// ignored (every run uses the heap, which produced byte-identical runs
+	// to the calendar queue); any other name fails with
+	// ErrUnknownScheduler. Excluded from Hash(), so such specs keep their
+	// result-store keys.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Horizon bounds virtual time (0 = unbounded).
 	Horizon float64 `json:"horizon,omitempty"`
@@ -349,9 +349,9 @@ func (s *Spec) Clone() (*Spec, error) {
 func (s *Spec) Hash() (string, error) {
 	c := *s
 	c.Env.Seed = 0
-	// The scheduler is a performance knob with pinned byte-identical
-	// results across implementations, so it never splits the scenario
-	// identity (and its omitempty field keeps pre-existing hashes stable).
+	// The scheduler field is an ignored compatibility knob, so it never
+	// splits the scenario identity (and its omitempty field keeps
+	// pre-existing hashes stable).
 	c.Env.Scheduler = ""
 	// The observe block is measurement configuration, not scenario: an
 	// observed run's Report is byte-identical to an unobserved one (minus

@@ -1,16 +1,18 @@
-package synchronizer
+package synchronizer_test
 
 import (
 	"testing"
 
 	"abenet/internal/channel"
 	"abenet/internal/dist"
+	"abenet/internal/runner"
+	"abenet/internal/synchronizer"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
 func TestBetaPreservesSynchronousSemantics(t *testing.T) {
-	res, protos := runCounter(t, KindBeta, topology.BiRing(5), 10, 1)
+	res, protos := runCounter(t, synchronizer.KindBeta, topology.BiRing(5), 10, 1)
 	if !res.Stopped {
 		t.Fatalf("run did not stop: %+v", res)
 	}
@@ -44,7 +46,7 @@ func TestBetaOnVariousTopologies(t *testing.T) {
 		"line6":      topology.Line(6),
 	}
 	for name, g := range graphs {
-		res, _ := runCounter(t, KindBeta, g, 12, 2)
+		res, _ := runCounter(t, synchronizer.KindBeta, g, 12, 2)
 		if !res.Stopped {
 			t.Fatalf("%s: did not stop: %+v", name, res)
 		}
@@ -57,8 +59,8 @@ func TestBetaOnVariousTopologies(t *testing.T) {
 
 func TestBetaCheaperThanAlphaOnDenseGraphs(t *testing.T) {
 	g := topology.Complete(10) // |E| = 90 directed edges
-	alphaRes, _ := runCounter(t, KindAlpha, g, 20, 3)
-	betaRes, _ := runCounter(t, KindBeta, g, 20, 3)
+	alphaRes, _ := runCounter(t, synchronizer.KindAlpha, g, 20, 3)
+	betaRes, _ := runCounter(t, synchronizer.KindBeta, g, 20, 3)
 	if betaRes.MessagesPerRound >= alphaRes.MessagesPerRound {
 		t.Fatalf("beta (%.1f/round) should beat alpha (%.1f/round) on dense graphs",
 			betaRes.MessagesPerRound, alphaRes.MessagesPerRound)
@@ -69,7 +71,7 @@ func TestBetaCostFormula(t *testing.T) {
 	// Heartbeat workload on biring(6): per round 12 payload envelopes +
 	// 12 acks + 2*(6-1) tree messages = 34.
 	g := topology.BiRing(6)
-	res, _ := runCounter(t, KindBeta, g, 30, 4)
+	res, _ := runCounter(t, synchronizer.KindBeta, g, 30, 4)
 	want := 34.0
 	if res.MessagesPerRound < want*0.9 || res.MessagesPerRound > want*1.15 {
 		t.Fatalf("beta msgs/round = %.2f, want about %v", res.MessagesPerRound, want)
@@ -77,7 +79,7 @@ func TestBetaCostFormula(t *testing.T) {
 }
 
 func TestBetaRejectsUnidirectionalGraphs(t *testing.T) {
-	_, err := Run(Config{Kind: KindBeta, Graph: topology.Ring(4)},
+	_, err := run(runner.Env{Graph: topology.Ring(4)}, runner.Synchronized{Kind: synchronizer.KindBeta},
 		func(int) syncnet.Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("beta on a unidirectional ring accepted")
@@ -86,12 +88,7 @@ func TestBetaRejectsUnidirectionalGraphs(t *testing.T) {
 
 func TestBetaWithHeavyTailedDelays(t *testing.T) {
 	protos := make([]*counterProto, 6)
-	res, err := Run(Config{
-		Kind:  KindBeta,
-		Graph: topology.BiRing(6),
-		Links: channel.RandomDelayFactory(dist.ParetoWithMean(1, 1.5)),
-		Seed:  5,
-	}, func(i int) syncnet.Node {
+	res, err := run(runner.Env{Graph: topology.BiRing(6), Links: channel.RandomDelayFactory(dist.ParetoWithMean(1, 1.5)), Seed: 5}, runner.Synchronized{Kind: synchronizer.KindBeta}, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: 10}
 		return protos[i]
 	})
@@ -109,7 +106,7 @@ func TestBetaSparseProtocolSendsNoEmptyEnvelopes(t *testing.T) {
 	// per edge regardless.
 	g := topology.Complete(8)
 	protos := make([]*silentProto, 8)
-	res, err := Run(Config{Kind: KindBeta, Graph: g, Seed: 6}, func(i int) syncnet.Node {
+	res, err := run(runner.Env{Graph: g, Seed: 6}, runner.Synchronized{Kind: synchronizer.KindBeta}, func(i int) syncnet.Node {
 		protos[i] = &silentProto{limit: 20}
 		return protos[i]
 	})

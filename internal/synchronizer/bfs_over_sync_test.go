@@ -1,10 +1,14 @@
-package synchronizer
+package synchronizer_test
 
 import (
 	"testing"
 
 	"abenet/internal/channel"
 	"abenet/internal/dist"
+	"abenet/internal/network"
+	"abenet/internal/runner"
+	"abenet/internal/simtime"
+	"abenet/internal/synchronizer"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -16,15 +20,9 @@ import (
 func TestBFSOverSynchronizers(t *testing.T) {
 	g := topology.Hypercube(4)
 	_, want := g.BFSTree(0)
-	for _, kind := range []Kind{KindRound, KindAlpha, KindBeta, KindGamma} {
+	for _, kind := range []synchronizer.Kind{synchronizer.KindRound, synchronizer.KindAlpha, synchronizer.KindBeta, synchronizer.KindGamma} {
 		nodes := make([]*syncnet.BFSNode, g.N())
-		_, err := Run(Config{
-			Kind:      kind,
-			Graph:     g,
-			Links:     channel.RandomDelayFactory(dist.NewExponential(1)),
-			Seed:      3,
-			MaxRounds: 64,
-		}, func(i int) syncnet.Node {
+		_, err := run(runner.Env{Graph: g, Links: channel.RandomDelayFactory(dist.NewExponential(1)), Seed: 3, MaxRounds: 64}, runner.Synchronized{Kind: kind}, func(i int) syncnet.Node {
 			nodes[i] = syncnet.NewBFSNode(i == 0)
 			return nodes[i]
 		})
@@ -46,18 +44,29 @@ func TestBFSOverSynchronizers(t *testing.T) {
 // preserve), while their message costs differ.
 func TestBFSDecisionLatencyByKind(t *testing.T) {
 	g := topology.BiRing(10)
-	costs := map[Kind]float64{}
-	for _, kind := range []Kind{KindRound, KindAlpha, KindBeta} {
+	costs := map[synchronizer.Kind]float64{}
+	for _, kind := range []synchronizer.Kind{synchronizer.KindRound, synchronizer.KindAlpha, synchronizer.KindBeta} {
 		nodes := make([]*syncnet.BFSNode, g.N())
-		res, err := Run(Config{
-			Kind:      kind,
-			Graph:     g,
-			Seed:      4,
-			MaxRounds: 20,
-		}, func(i int) syncnet.Node {
+		// The runner reports nothing for a run that exhausted its round
+		// budget, so this one composes the network by hand to read the
+		// progress of the aborted run.
+		d, err := synchronizer.Deploy(kind, g, 0, 20, func(i int) syncnet.Node {
 			nodes[i] = syncnet.NewBFSNode(i == 0)
 			return nodes[i]
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := network.New(network.Config{
+			Graph: g, Links: channel.RandomDelayFactory(dist.NewExponential(1)), Seed: 4,
+		}, d.Node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.Run(simtime.Forever, runner.DefaultMaxEvents); err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Result(net)
 		if err == nil {
 			t.Fatalf("%v: expected budget exit", kind)
 		}
@@ -69,7 +78,7 @@ func TestBFSDecisionLatencyByKind(t *testing.T) {
 		}
 		costs[kind] = res.MessagesPerRound
 	}
-	if !(costs[KindRound] < costs[KindBeta] && costs[KindBeta] < costs[KindAlpha]) {
+	if !(costs[synchronizer.KindRound] < costs[synchronizer.KindBeta] && costs[synchronizer.KindBeta] < costs[synchronizer.KindAlpha]) {
 		// On a sparse bidirectional ring: round = |E| = 2n = 20/round;
 		// beta = payload+ack+tree <= ~2·payload + 2(n-1); alpha = 3|E|.
 		t.Logf("per-round costs: %v (ordering depends on payload density)", costs)

@@ -1,71 +1,43 @@
 package synchronizer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/dist"
 	"abenet/internal/network"
-	"abenet/internal/simtime"
-	"abenet/internal/topology"
 )
 
-// ClockSyncConfig configures a run of the clock-driven ABD synchronizer
-// (Tel–Korach–Zaks style): every node starts round r at local time r·Period
-// and sends one round-stamped message per out-edge, trusting that Period
-// exceeds the worst-case message delay. On a genuine ABD network the trust
-// is justified and the synchronizer needs no control messages at all; on
-// an ABE network no finite Period is safe — Theorem 1's context — and the
-// violation rate below quantifies exactly how unsafe a given Period is.
-type ClockSyncConfig struct {
-	// Graph is the topology.
-	Graph *topology.Graph
-	// Delay is the link delay distribution; nil means Exponential(1).
-	// Use a bounded distribution (e.g. Uniform) to model an ABD network.
-	Delay dist.Dist
-	// Links optionally overrides Delay with a full link factory.
-	Links channel.Factory
-	// Period is the local time between round starts; must be positive.
-	Period float64
-	// Rounds is how many rounds each node runs; must be positive.
-	Rounds int
-	// Clocks is the clock model; nil means perfect clocks (the classic
-	// ABD synchronizer setting).
-	Clocks clock.Model
-	// Seed drives the run.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-}
-
-// ClockSyncResult reports the outcome of a clock-synchronized execution.
-type ClockSyncResult struct {
-	// Messages is the total number of (payload) messages: with a clock
-	// synchronizer there is no control traffic at all.
-	Messages uint64
+// ClockSyncStats accumulates the round-discipline verdict of a run of the
+// clock-driven ABD synchronizer (Tel–Korach–Zaks style): every node starts
+// round r at local time r·period and sends one round-stamped message per
+// out-edge, trusting that the period exceeds the worst-case message delay.
+// On a genuine ABD network the trust is justified and the synchronizer
+// needs no control messages at all; on an ABE network no finite period is
+// safe — Theorem 1's context — and the violation count quantifies exactly
+// how unsafe a given period is.
+type ClockSyncStats struct {
 	// Violations counts messages that arrived after their receiver had
 	// already advanced past the sender's round — synchrony broken. On an
-	// ABD network with Period above the hard delay bound this is 0; on an
-	// ABE network it is positive with probability approaching 1 as the
+	// ABD network with a period above the hard delay bound this is 0; on
+	// an ABE network it is positive with probability approaching 1 as the
 	// run grows.
 	Violations uint64
 	// MaxLateness is the worst observed (receiver round − message round)
 	// among violations.
 	MaxLateness int
-	// Time is the virtual completion time.
-	Time float64
 }
 
-// ViolationRate returns Violations/Messages (0 for an empty run).
-func (r ClockSyncResult) ViolationRate() float64 {
-	if r.Messages == 0 {
-		return 0
+// NewClockSyncNode returns a node running rounds clock-driven rounds of
+// the given local period, recording violations into stats. The period
+// must be positive and finite and rounds positive.
+func NewClockSyncNode(period float64, rounds int, stats *ClockSyncStats) (network.Node, error) {
+	if !(period > 0) || math.IsInf(period, 0) {
+		return nil, fmt.Errorf("synchronizer: period %g must be positive and finite", period)
 	}
-	return float64(r.Violations) / float64(r.Messages)
+	if rounds < 1 {
+		return nil, fmt.Errorf("synchronizer: rounds %d must be positive", rounds)
+	}
+	return &clockSyncNode{period: period, rounds: rounds, stats: stats}, nil
 }
 
 // clockSyncNode emits one stamped heartbeat per out-edge per round and
@@ -74,9 +46,7 @@ type clockSyncNode struct {
 	period float64
 	rounds int
 	round  int
-
-	violations  *uint64
-	maxLateness *int
+	stats  *ClockSyncStats
 }
 
 // heartbeat is the stamped per-round message.
@@ -115,60 +85,9 @@ func (n *clockSyncNode) OnMessage(ctx *network.Context, _ int, payload any) {
 	// node starts round m.Round+1 — i.e. while n.round <= m.Round+1
 	// (n.round is the count of started rounds).
 	if lateness := n.round - (m.Round + 1); lateness > 0 {
-		*n.violations++
-		if lateness > *n.maxLateness {
-			*n.maxLateness = lateness
+		n.stats.Violations++
+		if lateness > n.stats.MaxLateness {
+			n.stats.MaxLateness = lateness
 		}
 	}
-}
-
-// RunClockSync executes the clock-driven synchronizer workload and reports
-// its violation statistics.
-func RunClockSync(cfg ClockSyncConfig) (ClockSyncResult, error) {
-	if cfg.Graph == nil {
-		return ClockSyncResult{}, errors.New("synchronizer: config needs a graph")
-	}
-	if !(cfg.Period > 0) || math.IsInf(cfg.Period, 0) || math.IsNaN(cfg.Period) {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: period %g must be positive and finite", cfg.Period)
-	}
-	if cfg.Rounds < 1 {
-		return ClockSyncResult{}, fmt.Errorf("synchronizer: rounds %d must be positive", cfg.Rounds)
-	}
-	links := cfg.Links
-	if links == nil {
-		delay := cfg.Delay
-		if delay == nil {
-			delay = dist.NewExponential(1)
-		}
-		links = channel.RandomDelayFactory(delay)
-	}
-
-	var violations uint64
-	var maxLateness int
-	net, err := network.New(network.Config{
-		Graph:     cfg.Graph,
-		Links:     links,
-		Clocks:    cfg.Clocks,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
-	}, func(int) network.Node {
-		return &clockSyncNode{
-			period:      cfg.Period,
-			rounds:      cfg.Rounds,
-			violations:  &violations,
-			maxLateness: &maxLateness,
-		}
-	})
-	if err != nil {
-		return ClockSyncResult{}, err
-	}
-	if err := net.Run(simtime.Forever, 0); err != nil {
-		return ClockSyncResult{}, err
-	}
-	return ClockSyncResult{
-		Messages:    net.Metrics().MessagesSent,
-		Violations:  violations,
-		MaxLateness: maxLateness,
-		Time:        float64(net.Now()),
-	}, nil
 }

@@ -1,19 +1,19 @@
-package synchronizer
+package synchronizer_test
 
 import (
 	"testing"
 
 	"abenet/internal/rng"
+	"abenet/internal/runner"
+	"abenet/internal/synchronizer"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
 
-func runGamma(t *testing.T, g *topology.Graph, radius, limit int, seed uint64) (Result, []*counterProto) {
+func runGamma(t *testing.T, g *topology.Graph, radius, limit int, seed uint64) (syncRun, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
-	res, err := Run(Config{
-		Kind: KindGamma, Graph: g, ClusterRadius: radius, Seed: seed,
-	}, func(i int) syncnet.Node {
+	res, err := run(runner.Env{Graph: g, Seed: seed}, runner.Synchronized{Kind: synchronizer.KindGamma, ClusterRadius: radius}, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: limit}
 		return protos[i]
 	})
@@ -86,7 +86,7 @@ func TestGammaLargeRadiusReducesToBeta(t *testing.T) {
 	// equal β's exactly for the same workload.
 	g := topology.BiRing(8)
 	gammaRes, _ := runGamma(t, g, 10, 20, 3)
-	betaRes, _ := runCounter(t, KindBeta, g, 20, 3)
+	betaRes, _ := runCounter(t, synchronizer.KindBeta, g, 20, 3)
 	if gammaRes.MessagesPerRound != betaRes.MessagesPerRound {
 		t.Fatalf("single-cluster γ (%.2f/round) differs from β (%.2f/round)",
 			gammaRes.MessagesPerRound, betaRes.MessagesPerRound)
@@ -107,8 +107,8 @@ func TestGammaInterpolatesBetweenAlphaAndBeta(t *testing.T) {
 		}
 	}
 	g.AddBiEdge(0, 8)
-	alphaRes, _ := runCounter(t, KindAlpha, g, 12, 4)
-	betaRes, _ := runCounter(t, KindBeta, g, 12, 4)
+	alphaRes, _ := runCounter(t, synchronizer.KindAlpha, g, 12, 4)
+	betaRes, _ := runCounter(t, synchronizer.KindBeta, g, 12, 4)
 	gammaRes, _ := runGamma(t, g, 1, 12, 4)
 	if gammaRes.MessagesPerRound >= alphaRes.MessagesPerRound {
 		t.Fatalf("γ (%.1f/round) should beat α (%.1f/round) on dense graphs",
@@ -121,7 +121,7 @@ func TestGammaInterpolatesBetweenAlphaAndBeta(t *testing.T) {
 }
 
 func TestGammaRejectsUnidirectionalGraphs(t *testing.T) {
-	_, err := Run(Config{Kind: KindGamma, Graph: topology.Ring(4)},
+	_, err := run(runner.Env{Graph: topology.Ring(4)}, runner.Synchronized{Kind: synchronizer.KindGamma},
 		func(int) syncnet.Node { return &counterProto{limit: 2} })
 	if err == nil {
 		t.Fatal("gamma on a unidirectional ring accepted")
@@ -132,12 +132,7 @@ func TestGammaBFSOverIt(t *testing.T) {
 	g := topology.Hypercube(3)
 	_, want := g.BFSTree(0)
 	nodes := make([]*syncnet.BFSNode, g.N())
-	_, err := Run(Config{
-		Kind:      KindGamma,
-		Graph:     g,
-		Seed:      5,
-		MaxRounds: 32,
-	}, func(i int) syncnet.Node {
+	_, err := run(runner.Env{Graph: g, Seed: 5, MaxRounds: 32}, runner.Synchronized{Kind: synchronizer.KindGamma}, func(i int) syncnet.Node {
 		nodes[i] = syncnet.NewBFSNode(i == 0)
 		return nodes[i]
 	})

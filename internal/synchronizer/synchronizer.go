@@ -26,12 +26,8 @@ import (
 	"errors"
 	"fmt"
 
-	"abenet/internal/channel"
-	"abenet/internal/clock"
-	"abenet/internal/dist"
 	"abenet/internal/network"
 	"abenet/internal/rng"
-	"abenet/internal/simtime"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
@@ -51,7 +47,7 @@ const (
 	// dense graphs, at the price of Ω(tree depth) round latency.
 	KindBeta
 	// KindGamma is Awerbuch's γ-synchronizer: β within BFS clusters of
-	// bounded radius (Config.ClusterRadius), α-style safety exchange
+	// bounded radius (Deploy's clusterRadius), α-style safety exchange
 	// between adjacent clusters over one preferred edge per pair. It
 	// interpolates between α (radius 0-ish) and β (radius ≥ diameter),
 	// trading messages against round latency. Bidirectional only.
@@ -74,143 +70,95 @@ func (k Kind) String() string {
 	}
 }
 
-// Config describes a synchronous protocol execution over an asynchronous
-// network via a synchronizer.
-type Config struct {
-	// Kind selects the synchronizer; required.
-	Kind Kind
-	// Graph is the topology. Alpha requires a bidirectional graph.
-	Graph *topology.Graph
-	// Links is the asynchronous delay model; nil means Exponential(1).
-	Links channel.Factory
-	// Clocks is the local clock model; nil means perfect clocks. The
-	// message-driven synchronizers never read clocks; the parameter
-	// exists so experiments can show their indifference to drift.
-	Clocks clock.Model
-	// ClusterRadius is the γ-synchronizer's BFS cluster radius; 0 means 2.
-	// Ignored by the other kinds.
-	ClusterRadius int
-	// MaxRounds aborts the run if the protocol has not stopped by then;
-	// 0 means 10000.
-	MaxRounds int
-	// MaxEvents guards the kernel; 0 means 50e6.
-	MaxEvents uint64
-	// Seed drives all randomness.
-	Seed uint64
-	// Scheduler selects the kernel's event-queue implementation ("heap",
-	// "calendar"); empty means the default heap. Byte-identical either way.
-	Scheduler string
-	// Anonymous forbids protocol identity reads.
-	Anonymous bool
-}
-
 // Result summarises a synchronized execution.
 type Result struct {
 	// Rounds is the highest round any node completed.
 	Rounds int
 	// MinRounds is the number of rounds completed by every node.
 	MinRounds int
-	// Messages counts every network message, including synchronizer
-	// control traffic.
-	Messages uint64
 	// PayloadMessages counts protocol payloads carried.
 	PayloadMessages uint64
-	// MessagesPerRound is Messages/MinRounds — the sustained per-round
+	// MessagesPerRound is the network's message count (synchronizer
+	// control traffic included) over MinRounds — the sustained per-round
 	// message cost Theorem 1 lower bounds by n. MinRounds is the honest
 	// denominator: when the protocol stops mid-round some nodes have not
 	// executed the final round, and dividing by the maximum would
 	// understate the sustained cost.
 	MessagesPerRound float64
-	// Time is the virtual completion time.
-	Time float64
 	// Stopped reports whether the protocol stopped the run (vs hitting
-	// MaxRounds).
+	// the round budget).
 	Stopped bool
 	// StopCause is the protocol's stop cause, if any.
 	StopCause string
 }
 
-// Run executes makeNode-constructed synchronous protocol instances over the
-// configured asynchronous network.
-func Run(cfg Config, makeNode func(i int) syncnet.Node) (Result, error) {
-	if cfg.Graph == nil {
-		return Result{}, errors.New("synchronizer: config needs a graph")
+// Deployment wraps one synchronous protocol instance per node with a
+// synchronizer, for a network the caller builds and runs, and reads the
+// run's round progress back afterwards.
+type Deployment struct {
+	graph     *topology.Graph
+	wrap      func(i int, proto syncnet.Node, g *topology.Graph) (network.Node, roundReporter)
+	makeNode  func(i int) syncnet.Node
+	reporters []roundReporter
+	maxRounds int
+}
+
+// Deploy prepares makeNode's synchronous protocol to run over graph g via
+// the kind's synchronizer. clusterRadius is the γ-synchronizer's BFS
+// radius (0 means 2; ignored by the other kinds); maxRounds aborts the
+// run if the protocol has not stopped by then (0 means 10000).
+func Deploy(kind Kind, g *topology.Graph, clusterRadius, maxRounds int, makeNode func(i int) syncnet.Node) (*Deployment, error) {
+	if g == nil {
+		return nil, errors.New("synchronizer: needs a graph")
 	}
 	if makeNode == nil {
-		return Result{}, errors.New("synchronizer: nil node constructor")
+		return nil, errors.New("synchronizer: nil node constructor")
 	}
-	if !cfg.Graph.IsStronglyConnected() {
-		return Result{}, errors.New("synchronizer: graph must be strongly connected")
+	if !g.IsStronglyConnected() {
+		return nil, errors.New("synchronizer: graph must be strongly connected")
 	}
-	links := cfg.Links
-	if links == nil {
-		links = channel.RandomDelayFactory(dist.NewExponential(1))
-	}
-	maxRounds := cfg.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 10000
 	}
-	maxEvents := cfg.MaxEvents
-	if maxEvents == 0 {
-		maxEvents = 50_000_000
+	if kind != KindRound {
+		if err := requireBidirectional(g); err != nil {
+			return nil, err
+		}
 	}
-
-	var wrap func(i int, proto syncnet.Node, g *topology.Graph) (network.Node, roundReporter)
-	switch cfg.Kind {
+	d := &Deployment{graph: g, makeNode: makeNode, reporters: make([]roundReporter, g.N()), maxRounds: maxRounds}
+	switch kind {
 	case KindRound:
-		wrap = newRoundNode
+		d.wrap = newRoundNode
 	case KindAlpha:
-		if err := requireBidirectional(cfg.Graph); err != nil {
-			return Result{}, err
-		}
-		wrap = newAlphaNode
+		d.wrap = newAlphaNode
 	case KindBeta:
-		if err := requireBidirectional(cfg.Graph); err != nil {
-			return Result{}, err
-		}
-		wrap = makeBetaWrap(cfg.Graph)
+		d.wrap = makeBetaWrap(g)
 	case KindGamma:
-		if err := requireBidirectional(cfg.Graph); err != nil {
-			return Result{}, err
-		}
-		wrap = makeGammaWrap(cfg.Graph, cfg.ClusterRadius)
+		d.wrap = makeGammaWrap(g, clusterRadius)
 	default:
-		return Result{}, fmt.Errorf("synchronizer: unknown kind %v", cfg.Kind)
+		return nil, fmt.Errorf("synchronizer: unknown kind %v", kind)
 	}
+	return d, nil
+}
 
-	reporters := make([]roundReporter, cfg.Graph.N())
-	net, err := network.New(network.Config{
-		Graph:     cfg.Graph,
-		Links:     links,
-		Clocks:    cfg.Clocks,
-		Seed:      cfg.Seed,
-		Scheduler: cfg.Scheduler,
-		Anonymous: cfg.Anonymous,
-	}, func(i int) network.Node {
-		node, reporter := wrap(i, makeNode(i), cfg.Graph)
-		reporters[i] = reporter
-		return node
-	})
-	if err != nil {
-		return Result{}, err
-	}
+// Node builds the synchronizer-wrapped protocol instance for node i. Each
+// wrapped node checks the round budget as it advances (a watchdog node
+// cannot exist).
+func (d *Deployment) Node(i int) network.Node {
+	node, reporter := d.wrap(i, d.makeNode(i), d.graph)
+	reporter.setMaxRounds(d.maxRounds)
+	d.reporters[i] = reporter
+	return node
+}
 
-	// Install the round budget: a watchdog node cannot exist, so each
-	// wrapped node checks the budget as it advances.
-	for _, r := range reporters {
-		r.setMaxRounds(maxRounds)
-	}
-
-	if err := net.Run(simtime.Forever, maxEvents); err != nil {
-		return Result{}, err
-	}
-
+// Result reads the round progress of the finished run on net. It errors
+// when the round budget ran out before the protocol stopped.
+func (d *Deployment) Result(net *network.Network) (Result, error) {
 	res := Result{
-		Time:      float64(net.Now()),
 		StopCause: net.StopCause(),
 		Stopped:   net.StopCause() != "" && net.StopCause() != budgetStopCause,
 	}
-	for i, r := range reporters {
+	for i, r := range d.reporters {
 		c := r.completedRounds()
 		if c > res.Rounds {
 			res.Rounds = c
@@ -220,12 +168,11 @@ func Run(cfg Config, makeNode func(i int) syncnet.Node) (Result, error) {
 		}
 		res.PayloadMessages += r.payloadCount()
 	}
-	res.Messages = net.Metrics().MessagesSent
 	if res.MinRounds > 0 {
-		res.MessagesPerRound = float64(res.Messages) / float64(res.MinRounds)
+		res.MessagesPerRound = float64(net.Metrics().MessagesSent) / float64(res.MinRounds)
 	}
-	if !res.Stopped && res.Rounds >= maxRounds {
-		return res, fmt.Errorf("synchronizer: protocol did not stop within %d rounds", maxRounds)
+	if !res.Stopped && res.Rounds >= d.maxRounds {
+		return res, fmt.Errorf("synchronizer: protocol did not stop within %d rounds", d.maxRounds)
 	}
 	return res, nil
 }

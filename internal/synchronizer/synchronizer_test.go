@@ -1,4 +1,4 @@
-package synchronizer
+package synchronizer_test
 
 import (
 	"math"
@@ -7,9 +7,42 @@ import (
 	"abenet/internal/channel"
 	"abenet/internal/clock"
 	"abenet/internal/dist"
+	"abenet/internal/runner"
+	"abenet/internal/synchronizer"
 	"abenet/internal/syncnet"
 	"abenet/internal/topology"
 )
+
+// syncRun is one synchronized run's outcome: the report with its
+// SyncExtra promoted alongside the common fields.
+type syncRun struct {
+	runner.Report
+	runner.SyncExtra
+}
+
+// run executes makeNode's synchronous protocol over the synchronizer p
+// selects on env, through the runner.
+func run(env runner.Env, p runner.Synchronized, makeNode func(i int) syncnet.Node) (syncRun, error) {
+	p.MakeNode = makeNode
+	rep, err := runner.Run(env, p)
+	ex, _ := rep.Extra.(runner.SyncExtra)
+	return syncRun{rep, ex}, err
+}
+
+// clockRun is one clock-sync run's outcome: the report with its
+// ClockSyncExtra promoted alongside the common fields.
+type clockRun struct {
+	runner.Report
+	runner.ClockSyncExtra
+}
+
+// runClockSync executes the clock-driven synchronizer workload p on env
+// through the runner.
+func runClockSync(env runner.Env, p runner.ClockSync) (clockRun, error) {
+	rep, err := runner.Run(env, p)
+	ex, _ := rep.Extra.(runner.ClockSyncExtra)
+	return clockRun{rep, ex}, err
+}
 
 // counterProto counts rounds and records its inbox history; it stops the
 // network after Limit rounds.
@@ -32,10 +65,10 @@ func (p *counterProto) Round(ctx syncnet.NodeContext, round int, inbox []syncnet
 	}
 }
 
-func runCounter(t *testing.T, kind Kind, g *topology.Graph, limit int, seed uint64) (Result, []*counterProto) {
+func runCounter(t *testing.T, kind synchronizer.Kind, g *topology.Graph, limit int, seed uint64) (syncRun, []*counterProto) {
 	t.Helper()
 	protos := make([]*counterProto, g.N())
-	res, err := Run(Config{Kind: kind, Graph: g, Seed: seed}, func(i int) syncnet.Node {
+	res, err := run(runner.Env{Graph: g, Seed: seed}, runner.Synchronized{Kind: kind}, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: limit}
 		return protos[i]
 	})
@@ -48,7 +81,7 @@ func runCounter(t *testing.T, kind Kind, g *topology.Graph, limit int, seed uint
 func TestRoundSynchronizerPreservesSynchronousSemantics(t *testing.T) {
 	// Every node must see, in round r+1, exactly the messages sent to it
 	// in round r — here: one message per in-neighbour carrying r.
-	res, protos := runCounter(t, KindRound, topology.Ring(5), 10, 1)
+	res, protos := runCounter(t, synchronizer.KindRound, topology.Ring(5), 10, 1)
 	if !res.Stopped {
 		t.Fatalf("run did not stop: %+v", res)
 	}
@@ -77,7 +110,7 @@ func TestRoundSynchronizerPreservesSynchronousSemantics(t *testing.T) {
 }
 
 func TestAlphaSynchronizerPreservesSynchronousSemantics(t *testing.T) {
-	res, protos := runCounter(t, KindAlpha, topology.BiRing(4), 8, 2)
+	res, protos := runCounter(t, synchronizer.KindAlpha, topology.BiRing(4), 8, 2)
 	if !res.Stopped {
 		t.Fatalf("run did not stop: %+v", res)
 	}
@@ -113,14 +146,14 @@ func TestTheorem1MessagesPerRoundAtLeastN(t *testing.T) {
 		"hypercube3": topology.Hypercube(3),
 	}
 	for name, g := range graphs {
-		res, _ := runCounter(t, KindRound, g, 20, 3)
+		res, _ := runCounter(t, synchronizer.KindRound, g, 20, 3)
 		if res.MessagesPerRound < float64(g.N())-1e-9 {
 			t.Errorf("%s/round: %.2f messages/round < n=%d — violates Theorem 1's bound", name, res.MessagesPerRound, g.N())
 		}
 	}
 	for _, name := range []string{"biring8", "complete6", "hypercube3"} {
 		g := graphs[name]
-		res, _ := runCounter(t, KindAlpha, g, 20, 4)
+		res, _ := runCounter(t, synchronizer.KindAlpha, g, 20, 4)
 		if res.MessagesPerRound < float64(g.N())-1e-9 {
 			t.Errorf("%s/alpha: %.2f messages/round < n=%d", name, res.MessagesPerRound, g.N())
 		}
@@ -132,7 +165,7 @@ func TestRoundSynchronizerIsMessageOptimalOnRings(t *testing.T) {
 	// achieve Theorem 1's bound with equality (modulo the final partial
 	// round when the protocol stops).
 	g := topology.Ring(8)
-	res, _ := runCounter(t, KindRound, g, 50, 5)
+	res, _ := runCounter(t, synchronizer.KindRound, g, 50, 5)
 	if res.MessagesPerRound < 8-1e-9 || res.MessagesPerRound > 8*1.1 {
 		t.Fatalf("messages/round = %.3f, want about n = 8", res.MessagesPerRound)
 	}
@@ -140,7 +173,7 @@ func TestRoundSynchronizerIsMessageOptimalOnRings(t *testing.T) {
 
 func TestAlphaCostsThreePerEdgePerRound(t *testing.T) {
 	g := topology.BiRing(6) // 12 directed edges
-	res, _ := runCounter(t, KindAlpha, g, 30, 6)
+	res, _ := runCounter(t, synchronizer.KindAlpha, g, 30, 6)
 	perRound := res.MessagesPerRound
 	if perRound < 0.9*3*12 || perRound > 1.1*3*12 {
 		t.Fatalf("alpha messages/round = %.2f, want about 36", perRound)
@@ -150,12 +183,7 @@ func TestAlphaCostsThreePerEdgePerRound(t *testing.T) {
 func TestSynchronizersIndifferentToDelayShape(t *testing.T) {
 	for _, d := range []dist.Dist{dist.NewDeterministic(1), dist.NewExponential(1), dist.ParetoWithMean(1, 2)} {
 		protos := make([]*counterProto, 4)
-		res, err := Run(Config{
-			Kind:  KindRound,
-			Graph: topology.Ring(4),
-			Links: channel.RandomDelayFactory(d),
-			Seed:  7,
-		}, func(i int) syncnet.Node {
+		res, err := run(runner.Env{Graph: topology.Ring(4), Links: channel.RandomDelayFactory(d), Seed: 7}, runner.Synchronized{Kind: synchronizer.KindRound}, func(i int) syncnet.Node {
 			protos[i] = &counterProto{limit: 12}
 			return protos[i]
 		})
@@ -170,12 +198,7 @@ func TestSynchronizersIndifferentToDelayShape(t *testing.T) {
 
 func TestSynchronizerIndifferentToClockDrift(t *testing.T) {
 	protos := make([]*counterProto, 4)
-	res, err := Run(Config{
-		Kind:   KindRound,
-		Graph:  topology.Ring(4),
-		Clocks: clock.NewWanderingModel(0.25, 4, 1),
-		Seed:   8,
-	}, func(i int) syncnet.Node {
+	res, err := run(runner.Env{Graph: topology.Ring(4), Clocks: clock.NewWanderingModel(0.25, 4, 1), Seed: 8}, runner.Synchronized{Kind: synchronizer.KindRound}, func(i int) syncnet.Node {
 		protos[i] = &counterProto{limit: 12}
 		return protos[i]
 	})
@@ -189,12 +212,7 @@ func TestSynchronizerIndifferentToClockDrift(t *testing.T) {
 
 func TestRoundBudgetAborts(t *testing.T) {
 	// A protocol that never stops must trip the budget error.
-	_, err := Run(Config{
-		Kind:      KindRound,
-		Graph:     topology.Ring(3),
-		MaxRounds: 25,
-		Seed:      9,
-	}, func(int) syncnet.Node {
+	_, err := run(runner.Env{Graph: topology.Ring(3), MaxRounds: 25, Seed: 9}, runner.Synchronized{Kind: synchronizer.KindRound}, func(int) syncnet.Node {
 		return &counterProto{limit: 1 << 30}
 	})
 	if err == nil {
@@ -204,22 +222,22 @@ func TestRoundBudgetAborts(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	mk := func(int) syncnet.Node { return &counterProto{limit: 1} }
-	if _, err := Run(Config{Kind: KindRound}, mk); err == nil {
+	if _, err := run(runner.Env{}, runner.Synchronized{Kind: synchronizer.KindRound}, mk); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if _, err := Run(Config{Kind: KindRound, Graph: topology.Ring(3)}, nil); err == nil {
+	if _, err := run(runner.Env{Graph: topology.Ring(3)}, runner.Synchronized{Kind: synchronizer.KindRound}, nil); err == nil {
 		t.Fatal("nil constructor accepted")
 	}
-	if _, err := Run(Config{Kind: 99, Graph: topology.Ring(3)}, mk); err == nil {
+	if _, err := run(runner.Env{Graph: topology.Ring(3)}, runner.Synchronized{Kind: 99}, mk); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
-	if _, err := Run(Config{Kind: KindAlpha, Graph: topology.Ring(3)}, mk); err == nil {
+	if _, err := run(runner.Env{Graph: topology.Ring(3)}, runner.Synchronized{Kind: synchronizer.KindAlpha}, mk); err == nil {
 		t.Fatal("alpha on unidirectional ring accepted")
 	}
 	disconnected := topology.New(3)
 	disconnected.AddEdge(0, 1)
 	disconnected.AddEdge(1, 0)
-	if _, err := Run(Config{Kind: KindRound, Graph: disconnected}, mk); err == nil {
+	if _, err := run(runner.Env{Graph: disconnected}, runner.Synchronized{Kind: synchronizer.KindRound}, mk); err == nil {
 		t.Fatal("non-strongly-connected graph accepted")
 	}
 }
@@ -227,18 +245,12 @@ func TestRunValidation(t *testing.T) {
 func TestClockSyncPerfectOnABDNetwork(t *testing.T) {
 	// Bounded delays (uniform in [0, 1]) and Period > 1: the ABD
 	// assumption holds, so there must be zero violations.
-	res, err := RunClockSync(ClockSyncConfig{
-		Graph:  topology.Ring(8),
-		Delay:  dist.NewUniform(0, 1),
-		Period: 1.05,
-		Rounds: 200,
-		Seed:   1,
-	})
+	res, err := runClockSync(runner.Env{Graph: topology.Ring(8), Delay: dist.NewUniform(0, 1), Seed: 1}, runner.ClockSync{Period: 1.05, Rounds: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violations != 0 {
-		t.Fatalf("ABD network produced %d violations", res.Violations)
+	if res.RoundViolations != 0 {
+		t.Fatalf("ABD network produced %d violations", res.RoundViolations)
 	}
 	if res.Messages != 8*200 {
 		t.Fatalf("messages = %d, want 1600", res.Messages)
@@ -248,20 +260,14 @@ func TestClockSyncPerfectOnABDNetwork(t *testing.T) {
 func TestClockSyncFailsOnABENetwork(t *testing.T) {
 	// Same expected delay (0.5) but exponential: P(delay > 1.05) ≈ 12%,
 	// so violations must appear — the E9/Theorem 1 demonstration.
-	res, err := RunClockSync(ClockSyncConfig{
-		Graph:  topology.Ring(8),
-		Delay:  dist.NewExponential(0.5),
-		Period: 1.05,
-		Rounds: 200,
-		Seed:   1,
-	})
+	res, err := runClockSync(runner.Env{Graph: topology.Ring(8), Delay: dist.NewExponential(0.5), Seed: 1}, runner.ClockSync{Period: 1.05, Rounds: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Violations == 0 {
+	if res.RoundViolations == 0 {
 		t.Fatal("ABE network produced no violations — unbounded delays must break a clock synchronizer")
 	}
-	rate := res.ViolationRate()
+	rate := res.ViolationRate
 	if rate < 0.01 || rate > 0.5 {
 		t.Fatalf("violation rate %v implausible for exp(0.5) vs period 1.05", rate)
 	}
@@ -269,17 +275,11 @@ func TestClockSyncFailsOnABENetwork(t *testing.T) {
 
 func TestClockSyncViolationRateDropsWithPeriod(t *testing.T) {
 	rate := func(period float64) float64 {
-		res, err := RunClockSync(ClockSyncConfig{
-			Graph:  topology.Ring(8),
-			Delay:  dist.NewExponential(1),
-			Period: period,
-			Rounds: 300,
-			Seed:   2,
-		})
+		res, err := runClockSync(runner.Env{Graph: topology.Ring(8), Delay: dist.NewExponential(1), Seed: 2}, runner.ClockSync{Period: period, Rounds: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.ViolationRate()
+		return res.ViolationRate
 	}
 	r2, r6 := rate(2), rate(6)
 	if r6 >= r2 {
@@ -297,40 +297,39 @@ func TestClockSyncExponentialTailMatchesTheory(t *testing.T) {
 	// is roughly e^{-P} (arrival after the receiver's next tick). Check
 	// the measured rate is the right order of magnitude.
 	const period = 3.0
-	res, err := RunClockSync(ClockSyncConfig{
-		Graph:  topology.Ring(16),
-		Delay:  dist.NewExponential(1),
-		Period: period,
-		Rounds: 400,
-		Seed:   3,
-	})
+	res, err := runClockSync(runner.Env{Graph: topology.Ring(16), Delay: dist.NewExponential(1), Seed: 3}, runner.ClockSync{Period: period, Rounds: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Exp(-period)
-	got := res.ViolationRate()
+	got := res.ViolationRate
 	if got < want/4 || got > want*4 {
 		t.Fatalf("violation rate %v, want within 4x of e^-P = %v", got, want)
 	}
 }
 
 func TestClockSyncValidation(t *testing.T) {
-	if _, err := RunClockSync(ClockSyncConfig{Period: 1, Rounds: 1}); err == nil {
+	if _, err := runClockSync(runner.Env{}, runner.ClockSync{Period: 1, Rounds: 1}); err == nil {
 		t.Fatal("missing graph accepted")
 	}
-	if _, err := RunClockSync(ClockSyncConfig{Graph: topology.Ring(3), Period: 0, Rounds: 1}); err == nil {
-		t.Fatal("zero period accepted")
+	// Zero Period and Rounds select the defaults; values no run can use
+	// are errors.
+	if _, err := runClockSync(runner.Env{Graph: topology.Ring(3)}, runner.ClockSync{Period: -1, Rounds: 1}); err == nil {
+		t.Fatal("negative period accepted")
 	}
-	if _, err := RunClockSync(ClockSyncConfig{Graph: topology.Ring(3), Period: 1, Rounds: 0}); err == nil {
-		t.Fatal("zero rounds accepted")
+	if _, err := runClockSync(runner.Env{Graph: topology.Ring(3)}, runner.ClockSync{Period: 1, Rounds: -1}); err == nil {
+		t.Fatal("negative rounds accepted")
+	}
+	if _, err := synchronizer.NewClockSyncNode(math.Inf(1), 1, &synchronizer.ClockSyncStats{}); err == nil {
+		t.Fatal("infinite period accepted")
 	}
 }
 
 func TestKindString(t *testing.T) {
-	if KindRound.String() != "round" || KindAlpha.String() != "alpha" {
+	if synchronizer.KindRound.String() != "round" || synchronizer.KindAlpha.String() != "alpha" {
 		t.Fatal("kind strings wrong")
 	}
-	if Kind(42).String() == "" {
+	if synchronizer.Kind(42).String() == "" {
 		t.Fatal("unknown kind string empty")
 	}
 }

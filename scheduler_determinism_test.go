@@ -60,10 +60,10 @@ func registryScenarios() []registryScenario {
 			"0dc0dd34660797a2c984b951c263dd8ae3fb31185247678a0304ac950cbbc8f8",
 			"2903de080f973fd414f9483dd809b774602f4bfa0b99387dcae99cc107685582"},
 		{"synchronized-election", abenet.Env{N: 8, Seed: 23}, abenet.SynchronizedElection{},
-			"6d591e4eb3131e857a272d7ea851cf7f4153a4e56de47ea9e855cabb9293c2c2",
+			"030d02c9777210aa83286af2f8035d0de03b5be2a7f3d7c8f48aabf839af8d29",
 			"f4d110020bdf3fb9562ae30e9f1c2f82c07976169a340b1d1d9dc991f99409cd"},
 		{"clock-sync", abenet.Env{N: 6, Seed: 29, MaxRounds: 40}, abenet.ClockSync{},
-			"065b8f286729119d49de8588f492e9bbd23e8d3f403ba0d4069af390967000d4",
+			"76d29531abc2b32faf8340f49729a01dc977cc305449f49f90b139ff4bc73ce7",
 			"4e4793a4c960164ce9eaf7e540f6905a8d5cc307f027fe4744e1b4cc8f9eb124"},
 		{"ben-or/clean", abenet.Env{N: 7, Seed: 31, MaxRounds: 60}, abenet.BenOr{Init: "half"},
 			"84314e3fe23906a725671c0c8ca56715f15babfd3592e463dd2705ebf0a33a41",
