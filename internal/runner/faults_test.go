@@ -171,7 +171,7 @@ func TestFaultsRejectedByUnsupportingProtocols(t *testing.T) {
 		ClockSync{},
 		LiveElection{},
 		Peterson{}, // reliable-FIFO step protocol: every fault axis breaks it
-		Synchronized{MakeNode: func(int) syncnet.Node { return idleSyncNode{} }},
+		Synchronized{MakeNode: func(int) syncnet.Node { return silentSyncNode{} }},
 	}
 	for _, p := range unsupported {
 		t.Run(p.Name(), func(t *testing.T) {

@@ -12,6 +12,11 @@ import (
 	"abenet/internal/trace"
 )
 
+// silentSyncNode is a synchronous protocol that never sends.
+type silentSyncNode struct{}
+
+func (silentSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}
+
 // foreignProtocol is a protocol defined the way an outside package would
 // define one: it declares no capabilities.
 type foreignProtocol struct{ ran *bool }
@@ -44,7 +49,7 @@ func TestCapabilitiesFailClosed(t *testing.T) {
 			ran := false
 			_, err := Run(ax.env, Synchronized{MakeNode: func(int) syncnet.Node {
 				ran = true
-				return idleSyncNode{}
+				return silentSyncNode{}
 			}})
 			if !errors.Is(err, ax.want) || ran {
 				t.Fatalf("Run = %v (protocol ran: %v), want %v before running", err, ran, ax.want)

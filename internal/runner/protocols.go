@@ -167,21 +167,15 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	if q == 0 {
 		q = 1 / float64(n)
 	}
-	nodes := make([]*election.ItaiRodehSyncNode, n)
-	var buildErr error
-	engine, err := syncnet.New(syncnet.Config{Graph: graph, Seed: env.Seed, Anonymous: true}, func(i int) syncnet.Node {
-		node, err := election.NewItaiRodehSyncNode(n, q)
-		if err != nil {
-			buildErr = err
-			return idleSyncNode{}
-		}
-		node.SetSendPort(portAt(ports, i))
-		nodes[i] = node
-		return node
-	})
-	if buildErr != nil {
-		return Report{}, buildErr
+	if _, err := election.NewItaiRodehSyncNode(n, q); err != nil {
+		return Report{}, err
 	}
+	nodes := make([]*election.ItaiRodehSyncNode, n)
+	engine, err := syncnet.New(syncnet.Config{Graph: graph, Seed: env.Seed, Anonymous: true}, func(i int) syncnet.Node {
+		nodes[i], _ = election.NewItaiRodehSyncNode(n, q) // validated above
+		nodes[i].SetSendPort(portAt(ports, i))
+		return nodes[i]
+	})
 	if err != nil {
 		return Report{}, err
 	}
@@ -197,12 +191,6 @@ func (p ItaiRodehSync) Run(env Env) (Report, error) {
 	rep.elect(n, func(i int) bool { return nodes[i].IsLeader() })
 	return rep, nil
 }
-
-// idleSyncNode stands in for a synchronous node whose construction failed;
-// the construction error is returned before anything runs.
-type idleSyncNode struct{}
-
-func (idleSyncNode) Round(syncnet.NodeContext, int, []syncnet.Message) {}
 
 // ItaiRodehAsync is the classic Itai–Rodeh election for anonymous
 // asynchronous rings with FIFO channels (Θ(n log n) expected messages).

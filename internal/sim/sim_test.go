@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -634,5 +635,139 @@ func TestErrMaxEventsTyped(t *testing.T) {
 	}
 	if k.Executed() != 100 {
 		t.Fatalf("executed %d events before tripping, want exactly the budget", k.Executed())
+	}
+}
+
+// TestSimtimeExtremes schedules wildly mixed magnitudes — tiny gaps,
+// astronomically distant instants and the largest finite times float64 can
+// hold — in scrambled order and checks exact ordering survives.
+func TestSimtimeExtremes(t *testing.T) {
+	times := []simtime.Time{
+		0, 1e-12, 1e-9, 0.5, 1, 2, 63, 64, 65, 1000,
+		1e6, 1e6 + 1e-6, 1e9, 1e15, 1e18, 1e30, 1e100,
+		1e300, math.MaxFloat64 / 8, math.MaxFloat64 / 4,
+	}
+	k := New()
+	var got []simtime.Time
+	// Schedule in a fixed scrambled order so insertion is non-monotone.
+	perm := []int{7, 0, 19, 3, 11, 15, 1, 18, 5, 9, 13, 2, 17, 4, 10, 6, 16, 8, 12, 14}
+	for _, i := range perm {
+		at := times[i]
+		k.AtFunc(at, func() { got = append(got, at) })
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(times) {
+		t.Fatalf("ran %d events, want %d", len(got), len(times))
+	}
+	for i := range times {
+		if got[i] != times[i] {
+			t.Fatalf("order diverged at %d: got %v, want %v", i, got[i], times[i])
+		}
+	}
+	if k.Now() != math.MaxFloat64/4 {
+		t.Fatalf("final time = %v, want MaxFloat64/4", k.Now())
+	}
+	// A fresh near-term schedule relative to the new now still works.
+	fired := false
+	k.AtFunc(k.Now(), func() { fired = true })
+	if err := k.Run(simtime.Forever, 0); err != nil || !fired {
+		t.Fatalf("post-extreme scheduling broken: err=%v fired=%v", err, fired)
+	}
+}
+
+// TestSameInstantBurstFIFO: a large burst of events at one instant
+// (synchronized tick timers) must run in schedule order, and a second
+// burst scheduled from inside the first must run after it.
+func TestSameInstantBurstFIFO(t *testing.T) {
+	k := New()
+	const n = 20_000
+	var got []int
+	at := simtime.Time(7)
+	for i := 0; i < n; i++ {
+		i := i
+		k.AtFunc(at, func() {
+			got = append(got, i)
+			if i < 100 {
+				k.AtFunc(at, func() { got = append(got, n+i) }) // reentrant same-instant
+			}
+		})
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n+100 {
+		t.Fatalf("ran %d events, want %d", len(got), n+100)
+	}
+	for i := 0; i < n; i++ {
+		if got[i] != i {
+			t.Fatalf("position %d ran event %d, want FIFO order", i, got[i])
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if got[n+i] != n+i {
+			t.Fatalf("reentrant event order broken at %d: got %d", i, got[n+i])
+		}
+	}
+}
+
+// TestPendingQueueLenInvariants walks a mixed workload and checks
+// the counting surface after every operation: Pending counts live events
+// exactly, QueueLen ≥ Pending, and the compaction bound holds throughout.
+func TestPendingQueueLenInvariants(t *testing.T) {
+	k := New()
+	r := rng.New(7)
+	live := make(map[*Ticket]bool)
+	liveFns := 0
+	check := func(ctx string) {
+		t.Helper()
+		want := len(live) + liveFns
+		if got := k.Pending(); got != want {
+			t.Fatalf("%s: Pending = %d, want %d", ctx, got, want)
+		}
+		if k.QueueLen() < k.Pending() {
+			t.Fatalf("%s: QueueLen %d < Pending %d", ctx, k.QueueLen(), k.Pending())
+		}
+		if max := 2*k.Pending() + compactMinLen; k.QueueLen() > max {
+			t.Fatalf("%s: QueueLen %d exceeds compaction bound %d", ctx, k.QueueLen(), max)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		switch {
+		case r.Bool(0.45):
+			at := k.Now().Add(simtime.Duration(r.Float64() * 300))
+			if r.Bool(0.6) {
+				tk := k.At(at, func() {})
+				live[tk] = true
+			} else {
+				liveFns++
+				k.AtFunc(at, func() { liveFns-- })
+			}
+		case r.Bool(0.5) && len(live) > 0:
+			for tk := range live {
+				tk.Cancel()
+				delete(live, tk)
+				break
+			}
+		default:
+			before := k.Pending()
+			if k.Step() && before > 0 {
+				for tk := range live {
+					if !tk.Pending() {
+						delete(live, tk)
+					}
+				}
+			}
+		}
+		check("op")
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	live = map[*Ticket]bool{}
+	check("drained")
+	if k.QueueLen() != 0 {
+		t.Fatalf("drained QueueLen = %d, want 0", k.QueueLen())
 	}
 }
