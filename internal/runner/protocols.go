@@ -17,8 +17,9 @@ import (
 )
 
 // Election is the paper's probabilistic leader election for anonymous
-// unidirectional ABE rings (Section 3). It honours every Env field; on
-// non-ring topologies it runs along the embedded Hamiltonian cycle.
+// unidirectional ABE rings (Section 3). It honours every Env field but
+// the adversarial ones (Byzantine, LocalBroadcast); on non-ring
+// topologies it runs along the embedded Hamiltonian cycle.
 // Extra: ElectionExtra.
 type Election struct {
 	// A0 is the base activation parameter in (0, 1). 0 means the balanced
