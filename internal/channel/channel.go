@@ -22,6 +22,9 @@
 package channel
 
 import (
+	"sync"
+	"weak"
+
 	"abenet/internal/dist"
 	"abenet/internal/rng"
 	"abenet/internal/sim"
@@ -78,7 +81,7 @@ var _ Link = (*RandomDelay)(nil)
 func NewRandomDelay(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *RandomDelay {
 	mustLinkArgs(k, delay, r, deliver)
 	l := &RandomDelay{kernel: k, delay: delay, r: r, deliver: deliver}
-	l.pool.init(k, l.deliverOne)
+	l.pool.init(k, l)
 	return l
 }
 
@@ -122,7 +125,7 @@ var _ Link = (*FIFO)(nil)
 func NewFIFO(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *FIFO {
 	mustLinkArgs(k, delay, r, deliver)
 	l := &FIFO{kernel: k, delay: delay, r: r, deliver: deliver}
-	l.pool.init(k, l.deliverOne)
+	l.pool.init(k, l)
 	return l
 }
 
@@ -180,7 +183,7 @@ func NewARQ(k *sim.Kernel, p, slot float64, r *rng.Source, deliver DeliverFunc) 
 		panic("channel: ARQ link requires kernel, rng and deliver")
 	}
 	l := &ARQ{kernel: k, model: model, r: r, deliver: deliver}
-	l.pool.init(k, l.deliverOne)
+	l.pool.init(k, l)
 	return l
 }
 
@@ -242,19 +245,38 @@ func ARQFactory(p, slot float64) Factory {
 	}
 }
 
-// HeterogeneousFactory builds each link with pick(from, to), allowing
+// HeterogeneousFactory builds each link with pick(edgeIndex), allowing
 // per-edge delay models (non-homogeneous links, as the paper's motivation
 // for using a *bound* on expected delay discusses). The network-wide δ is
 // then the maximum per-link mean.
+//
+// edgeIndex counts the links built on one kernel, 0, 1, 2, … in the order
+// the network wires its edges. Each network owns one kernel, so the count
+// restarts for every network built from the factory, and networks built
+// concurrently (sweep workers sharing one Env) count independently.
 func HeterogeneousFactory(pick func(edgeIndex int) dist.Dist) Factory {
 	if pick == nil {
 		panic("channel: nil pick function")
 	}
-	next := 0
+	var (
+		mu   sync.Mutex
+		next = map[weak.Pointer[sim.Kernel]]int{}
+	)
 	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
-		d := pick(next)
-		next++
-		return NewRandomDelay(k, d, edgeRNG, deliver)
+		key := weak.Make(k)
+		mu.Lock()
+		i, ok := next[key]
+		if !ok {
+			// A new network: forget the ones whose kernels are gone.
+			for old := range next {
+				if old.Value() == nil {
+					delete(next, old)
+				}
+			}
+		}
+		next[key] = i + 1
+		mu.Unlock()
+		return NewRandomDelay(k, pick(i), edgeRNG, deliver)
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"abenet/internal/simtime"
 )
 
-// deliveryPool is the struct-of-arrays in-flight message store shared by
+// deliveryPool is the pooled in-flight message store shared by
 // the link implementations. It replaces the old per-message pattern — one
-// heap-allocated closure plus one kernel event per Send — with pooled value
-// slices (a slot holds the payload and its sampled delay) and, where the
+// heap-allocated closure plus one kernel event per Send — with a pooled
+// slot slice (a slot holds the payload and its sampled delay) and, where the
 // kernel's execution order provably cannot tell the difference, one kernel
 // event for a whole batch of same-instant deliveries.
 //
@@ -29,16 +29,14 @@ import (
 // same-instant deliveries, the batch walk re-checks Stopped before each
 // entry and abandons the rest — identical semantics, closure for closure.
 type deliveryPool struct {
-	kernel  *sim.Kernel
-	deliver func(payload any, d simtime.Duration) // owning link's per-message sink
+	kernel *sim.Kernel
+	sink   sink // the owning link, receiving each message at its instant
 
-	// Struct-of-arrays slot store. next chains a batch's entries in send
-	// order; -1 terminates. free lists vacated slots for reuse, so
-	// steady-state sends allocate nothing.
-	payloads []any
-	delays   []simtime.Duration
-	next     []int32
-	free     []int32
+	// Slot store. A slot's next chains a batch's entries in send order;
+	// -1 terminates. free lists vacated slots for reuse, so steady-state
+	// sends allocate nothing.
+	slots []slot
+	free  []int32
 
 	fire sim.ArgHandler // bound once to fireBatch; reused by every event
 
@@ -48,11 +46,26 @@ type deliveryPool struct {
 	tail    int32  // last entry of the open batch
 }
 
-// init wires the pool to its kernel and per-message sink. Called once from
-// each link constructor; deliver is typically a method value on the link.
-func (p *deliveryPool) init(k *sim.Kernel, deliver func(any, simtime.Duration)) {
+// slot is one in-flight message: its payload, its sampled delay (for the
+// link's delay statistics) and the next entry of its batch.
+type slot struct {
+	payload any
+	delay   simtime.Duration
+	next    int32
+}
+
+// sink is the per-message delivery end of a link. The pool holds its link
+// as a sink interface value rather than a method value, which would cost
+// one allocation per link.
+type sink interface {
+	deliverOne(payload any, d simtime.Duration)
+}
+
+// init wires the pool to its kernel and owning link. Called once from each
+// link constructor.
+func (p *deliveryPool) init(k *sim.Kernel, s sink) {
 	p.kernel = k
-	p.deliver = deliver
+	p.sink = s
 	p.fire = p.fireBatch
 }
 
@@ -60,58 +73,51 @@ func (p *deliveryPool) init(k *sim.Kernel, deliver func(any, simtime.Duration)) 
 // batch when that is provably order-preserving and scheduling a fresh
 // kernel event otherwise.
 func (p *deliveryPool) send(at simtime.Time, payload any, d simtime.Duration) {
-	var slot int32
+	var i int32
 	if n := len(p.free); n > 0 {
-		slot = p.free[n-1]
+		i = p.free[n-1]
 		p.free = p.free[:n-1]
 	} else {
-		slot = int32(len(p.payloads))
-		p.payloads = append(p.payloads, nil)
-		p.delays = append(p.delays, 0)
-		p.next = append(p.next, -1)
+		i = int32(len(p.slots))
+		p.slots = append(p.slots, slot{})
 	}
-	p.payloads[slot] = payload
-	p.delays[slot] = d
-	p.next[slot] = -1
+	p.slots[i] = slot{payload: payload, delay: d, next: -1}
 	if p.open && at == p.openAt && p.kernel.ScheduleSeq() == p.openSeq {
-		p.next[p.tail] = slot
-		p.tail = slot
+		p.slots[p.tail].next = i
+		p.tail = i
 		return
 	}
-	p.kernel.AtArg(at, p.fire, uint32(slot))
+	p.kernel.AtArg(at, p.fire, uint64(i))
 	p.open = true
 	p.openAt = at
 	p.openSeq = p.kernel.ScheduleSeq()
-	p.tail = slot
+	p.tail = i
 }
 
 // fireBatch delivers a batch chain head-to-tail. Slots are released before
 // each delivery callback so reentrant sends can reuse them; the chain link
 // is read out first, so reuse cannot corrupt the walk.
-func (p *deliveryPool) fireBatch(head uint32) {
+func (p *deliveryPool) fireBatch(head uint64) {
 	p.open = false // reentrant same-instant sends must open a fresh event
 	i := int32(head)
 	for i >= 0 {
+		s := &p.slots[i]
+		nx, payload, d := s.next, s.payload, s.delay
+		s.payload = nil
+		p.free = append(p.free, i)
 		if p.kernel.Stopped() {
 			// Mirror the unbatched kernel: a Stop between two same-instant
 			// deliveries abandons the rest. Release their slots undelivered.
-			for i >= 0 {
-				nx := p.next[i]
-				p.payloads[i] = nil
+			for i = nx; i >= 0; i = p.slots[i].next {
+				p.slots[i].payload = nil
 				p.free = append(p.free, i)
-				i = nx
 			}
 			return
 		}
-		payload := p.payloads[i]
-		d := p.delays[i]
-		nx := p.next[i]
-		p.payloads[i] = nil
-		p.free = append(p.free, i)
-		p.deliver(payload, d)
+		p.sink.deliverOne(payload, d)
 		i = nx
 	}
 }
 
 // inFlight returns the number of occupied slots (diagnostics and tests).
-func (p *deliveryPool) inFlight() int { return len(p.payloads) - len(p.free) }
+func (p *deliveryPool) inFlight() int { return len(p.slots) - len(p.free) }

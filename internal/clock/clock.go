@@ -184,8 +184,13 @@ type PerfectModel struct{}
 
 var _ Model = PerfectModel{}
 
+// perfectClock is the one rate-1 clock every PerfectModel node shares:
+// Fixed is an immutable value, and handing out one interface value avoids
+// boxing a fresh Fixed per node.
+var perfectClock Clock = NewFixed(1)
+
 // NewClock implements Model.
-func (PerfectModel) NewClock(*rng.Source) Clock { return NewFixed(1) }
+func (PerfectModel) NewClock(*rng.Source) Clock { return perfectClock }
 
 // Bounds implements Model.
 func (PerfectModel) Bounds() (low, high float64) { return 1, 1 }

@@ -520,7 +520,8 @@ func (nd *node) decide(v int8) {
 func (nd *node) coinFlip(ctx *network.Context) int8 {
 	nd.coinFlips++
 	if nd.coin == CoinCommon {
-		return int8(rng.New(nd.coinSeed).DeriveIndexed("round", int(nd.round)).Uint64() & 1)
+		coin := rng.New(nd.coinSeed).Stream("round").At(int(nd.round))
+		return int8(coin.Uint64() & 1)
 	}
 	return int8(ctx.Rand().Intn(2))
 }

@@ -51,3 +51,17 @@ func TestCorruptibleMsg(t *testing.T) {
 		t.Fatal("Corrupt mutated the original message")
 	}
 }
+
+// TestCommonCoinFlipAllocatesNothing pins the common coin at zero
+// allocations per flip and at the bit rng.DeriveIndexed gives for (coin
+// seed, round): the round's source is taken by value, not on the heap.
+func TestCommonCoinFlipAllocatesNothing(t *testing.T) {
+	nd := &node{coin: CoinCommon, coinSeed: 0x5eed, round: 7}
+	want := int8(rng.New(nd.coinSeed).DeriveIndexed("round", 7).Uint64() & 1)
+	if got := nd.coinFlip(nil); got != want {
+		t.Fatalf("common coin for round 7 = %d, want %d", got, want)
+	}
+	if avg := testing.AllocsPerRun(100, func() { nd.coinFlip(nil) }); avg != 0 {
+		t.Errorf("a common-coin flip allocates %g objects, want 0", avg)
+	}
+}

@@ -3,7 +3,9 @@ package harness
 import (
 	"testing"
 
+	"abenet/internal/channel"
 	"abenet/internal/core"
+	"abenet/internal/dist"
 	"abenet/internal/runner"
 )
 
@@ -68,5 +70,33 @@ func TestRunProtocolByName(t *testing.T) {
 	}
 	if _, err := sweep.RunProtocol("election", runner.Env{N: 9}, []float64{6}, nil); err == nil {
 		t.Fatal("base env with N set must error")
+	}
+}
+
+// TestHeterogeneousLinksInParallelSweep shares one HeterogeneousFactory
+// across the workers of a parallel sweep, as one Env reused by every
+// repetition does. Each network must number its own edges from 0, so
+// with pick(e) = Deterministic(e+1) every run's tightest δ is exactly the
+// ring's edge count, whatever ran before it or beside it. Under -race the
+// test also shows the factory's edge counter is synchronised.
+func TestHeterogeneousLinksInParallelSweep(t *testing.T) {
+	links := channel.HeterogeneousFactory(func(edge int) dist.Dist {
+		return dist.NewDeterministic(float64(edge + 1))
+	})
+	xs := []float64{6, 9}
+	sweep := Sweep{Name: "heterogeneous", Repetitions: 12, Workers: 4, Seed: 5}
+	points, err := sweep.Run(xs, func(x float64, seed uint64) (Metrics, error) {
+		n := int(x)
+		res, err := runner.Run(runner.Env{N: n, Links: links, Seed: seed}, runner.Election{A0: core.DefaultA0(n)})
+		return Metrics{"delta": res.Params.Delta}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range points {
+		d := p.Samples["delta"]
+		if d.N() != sweep.Repetitions || d.Min() != xs[i] || d.Max() != xs[i] {
+			t.Errorf("n=%g: δ over %d runs in [%g, %g], want exactly %g", xs[i], d.N(), d.Min(), d.Max(), xs[i])
+		}
 	}
 }

@@ -26,11 +26,10 @@ type lifecycle struct {
 	// clobber an individually scripted link outage (and vice versa), and
 	// the partition layer counts overlapping cuts so healing one
 	// partition never raises an edge another still holds down. An edge is
-	// down while either layer holds it.
-	linkOut [][]bool // linkOut[u][p]: down via KindLinkDown
-	cutOut  [][]int  // cutOut[u][p]: number of active partitions cutting the edge
-	// outPort[{u,v}]: out-port index of the directed edge u→v.
-	outPort map[[2]int]int
+	// down while either layer holds it. Both are indexed by the network's
+	// edge index (see Network.ports).
+	linkOut []bool // linkOut[e]: down via KindLinkDown
+	cutOut  []int  // cutOut[e]: number of active partitions cutting the edge
 
 	// openInterval[i] indexes tel.CrashIntervals while node i is down,
 	// -1 otherwise.
@@ -45,8 +44,8 @@ type lifecycle struct {
 }
 
 // newLifecycle validates the plan against the graph and prepares the
-// per-node state. Called from New after the topology is known but before
-// links are wired (the caller sizes portDown afterwards).
+// per-node and per-edge state. Called from New after the topology is
+// known but before links are wired.
 func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle, error) {
 	n := net.cfg.Graph.N()
 	if err := plan.Validate(n); err != nil {
@@ -71,6 +70,8 @@ func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle
 		root:         root.Derive("faults"),
 		down:         make([]bool, n),
 		epoch:        make([]uint64, n),
+		linkOut:      make([]bool, len(net.ports.To)),
+		cutOut:       make([]int, len(net.ports.To)),
 		openInterval: make([]int, n),
 	}
 	for i := range life.openInterval {
@@ -90,28 +91,9 @@ func impairment(plan *faults.Plan) channel.Impairment {
 	}
 }
 
-// indexPorts records the out-port of every directed edge so scripted link
-// and partition events can resolve edges in O(1). Called once from New
-// after the link slices exist.
-func (life *lifecycle) indexPorts() {
-	g := life.net.cfg.Graph
-	n := g.N()
-	life.outPort = make(map[[2]int]int, g.EdgeCount())
-	life.linkOut = make([][]bool, n)
-	life.cutOut = make([][]int, n)
-	for u := 0; u < n; u++ {
-		out := g.Out(u)
-		life.linkOut[u] = make([]bool, len(out))
-		life.cutOut[u] = make([]int, len(out))
-		for p, v := range out {
-			life.outPort[[2]int{u, v}] = p
-		}
-	}
-}
-
-// portDown reports whether the p-th out-link of u is down for any cause.
-func (life *lifecycle) portDown(u, p int) bool {
-	return life.linkOut[u][p] || life.cutOut[u][p] > 0
+// edgeDown reports whether edge e is down for any cause.
+func (life *lifecycle) edgeDown(e int) bool {
+	return life.linkOut[e] || life.cutOut[e] > 0
 }
 
 // applyAtTimeZero applies the scripted events at t = 0 before any node
@@ -140,8 +122,10 @@ func (life *lifecycle) install() {
 		life.net.kernel.AtFunc(simtime.Time(ev.At), func() { life.apply(ev) })
 	}
 	if life.plan.CrashRate > 0 {
+		crashStreams := life.root.Stream("crash")
 		for i := 0; i < life.net.N(); i++ {
-			life.scheduleCrash(i, life.root.DeriveIndexed("crash", i))
+			r := crashStreams.At(i)
+			life.scheduleCrash(i, &r)
 		}
 	}
 }
@@ -249,15 +233,18 @@ func (life *lifecycle) recover(i int) {
 		panic(fmt.Sprintf("network: makeNode(%d) returned nil on fault recovery", i))
 	}
 	life.net.nodes[i] = node
-	node.Init(life.net.ctxs[i])
+	node.Init(&life.net.ctxs[i])
 }
 
 // setLink flips the scripted state of the directed edge from→to. Edges
 // absent from the topology are ignored: plans are written against node
 // sets, and partitions routinely name non-adjacent pairs.
 func (life *lifecycle) setLink(from, to int, up bool) {
-	if p, ok := life.outPort[[2]int{from, to}]; ok {
-		life.linkOut[from][p] = !up
+	ports := &life.net.ports
+	for e := ports.Start[from]; e < ports.Start[from+1]; e++ {
+		if int(ports.To[e]) == to {
+			life.linkOut[e] = !up
+		}
 	}
 }
 
@@ -272,14 +259,18 @@ func (life *lifecycle) setCut(group []int, up bool) {
 	for _, v := range group {
 		inGroup[v] = true
 	}
-	for edge, p := range life.outPort {
-		if inGroup[edge[0]] != inGroup[edge[1]] {
+	ports := &life.net.ports
+	for u := range inGroup {
+		for e := ports.Start[u]; e < ports.Start[u+1]; e++ {
+			if inGroup[u] == inGroup[ports.To[e]] {
+				continue
+			}
 			if up {
-				if life.cutOut[edge[0]][p] > 0 {
-					life.cutOut[edge[0]][p]--
+				if life.cutOut[e] > 0 {
+					life.cutOut[e]--
 				}
 			} else {
-				life.cutOut[edge[0]][p]++
+				life.cutOut[e]++
 			}
 		}
 	}

@@ -147,13 +147,21 @@ type Config struct {
 }
 
 // Network is a runnable protocol deployment. Create one with New, then Run.
+//
+// Its state lives in flat per-network slices — contexts, random streams,
+// the edge table and the links — so building a network allocates per
+// network rather than per node or per edge, apart from what the node
+// constructor and the link factory allocate themselves.
 type Network struct {
-	cfg      Config
-	kernel   *sim.Kernel
-	nodes    []Node
-	ctxs     []*Context
-	links    [][]channel.Link // links[u][i] = link for u's i-th out-port
-	allLinks []channel.Link
+	cfg    Config
+	kernel *sim.Kernel
+	nodes  []Node
+	ctxs   []Context
+	// ports is the edge table: u's out-port p is edge ports.Start[u]+p,
+	// leading to ports.To[e] on its in-port ports.InPort[e].
+	ports    topology.Ports
+	links    []channel.Link // links[e]: edge e's link (point-to-point mode)
+	allLinks []channel.Link // every link: links, or the radios in LocalBroadcast mode
 	clocks   []clock.Clock
 	nextFree []simtime.Time // per-node completion time of the busy server
 	metrics  Metrics
@@ -162,6 +170,7 @@ type Network struct {
 	life     *lifecycle                // nil unless cfg.Faults is set
 	adv      *adversary                // nil unless cfg.Byzantine is set
 	bcast    []*channel.LocalBroadcast // per-node radio links (LocalBroadcast mode)
+	fire     sim.ArgHandler            // fireTimer, bound once for every ticketless timer
 
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
@@ -171,9 +180,11 @@ type Network struct {
 	cause TraceRef
 }
 
-// edgeAddress identifies the receiving side of a directed edge.
+// edgeAddress identifies the receiving side of a directed edge. Each
+// link's delivery callback carries its own copy, so a delivery reads its
+// destination from the callback it is already running.
 type edgeAddress struct {
-	from, to, inPort int
+	from, to, inPort int32
 }
 
 // New builds a network running makeNode(i) on node i of cfg.Graph.
@@ -205,17 +216,19 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 	}
 
 	n := cfg.Graph.N()
+	ports := cfg.Graph.Ports()
 	root := rng.New(cfg.Seed)
 	net := &Network{
 		cfg:      cfg,
 		kernel:   sim.New(),
 		nodes:    make([]Node, n),
-		ctxs:     make([]*Context, n),
-		links:    make([][]channel.Link, n),
+		ctxs:     make([]Context, n),
+		ports:    ports,
 		clocks:   make([]clock.Clock, n),
 		nextFree: make([]simtime.Time, n),
 		makeNode: makeNode,
 	}
+	net.fire = net.fireTimer
 	if cfg.Processing != nil {
 		net.procMean = cfg.Processing.Mean()
 	}
@@ -240,25 +253,28 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		net.adv = adv
 	}
 
+	// Every stream is root.DeriveIndexed(label, index), with each label
+	// hashed once per network. Clocks and links keep pointers to theirs,
+	// so those live in one slice: node i's clock stream at i, then one
+	// stream per edge (per radio in LocalBroadcast mode).
+	linkStreams := len(ports.To)
+	if cfg.LocalBroadcast {
+		linkStreams = n
+	}
+	streams := make([]rng.Source, n+linkStreams)
+	clockStreams, nodeStreams, procStreams := root.Stream("clock"), root.Stream("node"), root.Stream("proc")
 	for i := 0; i < n; i++ {
-		net.clocks[i] = cfg.Clocks.NewClock(root.DeriveIndexed("clock", i))
-		net.ctxs[i] = &Context{
+		streams[i] = clockStreams.At(i)
+		net.clocks[i] = cfg.Clocks.NewClock(&streams[i])
+		net.ctxs[i] = Context{
 			net:  net,
 			id:   i,
-			r:    root.DeriveIndexed("node", i),
-			proc: root.DeriveIndexed("proc", i),
+			r:    nodeStreams.At(i),
+			proc: procStreams.At(i),
 		}
 		net.nodes[i] = makeNode(i)
 		if net.nodes[i] == nil {
 			return nil, fmt.Errorf("network: makeNode(%d) returned nil", i)
-		}
-	}
-
-	// Precompute in-port indices: inPort[to] position of edge from->to.
-	inPort := make(map[[2]int]int, cfg.Graph.EdgeCount())
-	for v := 0; v < n; v++ {
-		for idx, u := range cfg.Graph.In(v) {
-			inPort[[2]int{u, v}] = idx
 		}
 	}
 
@@ -267,35 +283,33 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 		// sender's out-edges at the shared delivery instant. The stream
 		// label is distinct from "edge", so switching media re-seeds
 		// nothing else.
+		radioStreams := root.Stream("bcast")
 		net.bcast = make([]*channel.LocalBroadcast, n)
+		net.allLinks = make([]channel.Link, n)
 		for u := 0; u < n; u++ {
-			out := cfg.Graph.Out(u)
-			addrs := make([]edgeAddress, len(out))
-			for p, v := range out {
-				addrs[p] = edgeAddress{from: u, to: v, inPort: inPort[[2]int{u, v}]}
-			}
-			lb := channel.NewLocalBroadcast(net.kernel, cfg.BroadcastDelay,
-				root.DeriveIndexed("bcast", u), net.fanoutFunc(u, addrs), len(out))
+			r := &streams[n+u]
+			*r = radioStreams.At(u)
+			lb := channel.NewLocalBroadcast(net.kernel, cfg.BroadcastDelay, r,
+				net.fanoutFunc(u), int(ports.Start[u+1]-ports.Start[u]))
 			net.bcast[u] = lb
-			net.allLinks = append(net.allLinks, lb)
+			net.allLinks[u] = lb
 		}
 	} else {
-		edgeIndex := 0
+		edgeStreams := root.Stream("edge")
+		net.links = make([]channel.Link, len(ports.To))
 		for u := 0; u < n; u++ {
-			for _, v := range cfg.Graph.Out(u) {
-				addr := edgeAddress{from: u, to: v, inPort: inPort[[2]int{u, v}]}
-				link := cfg.Links(net.kernel, root.DeriveIndexed("edge", edgeIndex), net.deliverFunc(addr))
+			for e := ports.Start[u]; e < ports.Start[u+1]; e++ {
+				r := &streams[n+int(e)]
+				*r = edgeStreams.At(int(e))
+				addr := edgeAddress{from: int32(u), to: ports.To[e], inPort: ports.InPort[e]}
+				link := cfg.Links(net.kernel, r, net.deliverFunc(addr))
 				if link == nil {
-					return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", u, v)
+					return nil, fmt.Errorf("network: link factory returned nil for edge %d->%d", u, ports.To[e])
 				}
-				net.links[u] = append(net.links[u], link)
-				net.allLinks = append(net.allLinks, link)
-				edgeIndex++
+				net.links[e] = link
 			}
 		}
-	}
-	if net.life != nil {
-		net.life.indexPorts()
+		net.allLinks = net.links
 	}
 	return net, nil
 }
@@ -315,17 +329,27 @@ func (net *Network) deliverTo(addr edgeAddress, payload any) {
 		return
 	}
 	net.metrics.MessagesDelivered++
+	if net.cfg.Tracer == nil && net.cfg.Processing == nil {
+		// Closure-free fast path: with instantaneous processing the queue
+		// model is a no-op (process would run the work inline), so the
+		// handler can be invoked directly. This is the per-delivery hot
+		// path for large untraced runs, and it allocates nothing.
+		to := int(addr.to)
+		net.nodes[to].OnMessage(&net.ctxs[to], int(addr.inPort), payload)
+		return
+	}
+	net.deliverQueued(addr, payload)
+}
+
+// deliverQueued is deliverTo through the processing queue and the tracer.
+// It is a function of its own because its closures capture addr and
+// payload: inside deliverTo they would move both to the heap on every
+// delivery, the fast path's included.
+func (net *Network) deliverQueued(addr edgeAddress, payload any) {
+	to, inPort := int(addr.to), int(addr.inPort)
 	if net.cfg.Tracer == nil {
-		if net.cfg.Processing == nil {
-			// Closure-free fast path: with instantaneous processing the
-			// queue model is a no-op (process would run the work inline),
-			// so the handler can be invoked directly. This is the
-			// per-delivery hot path for large untraced runs.
-			net.nodes[addr.to].OnMessage(net.ctxs[addr.to], addr.inPort, payload)
-			return
-		}
-		net.process(addr.to, deadLetterCounter, func() {
-			net.nodes[addr.to].OnMessage(net.ctxs[addr.to], addr.inPort, payload)
+		net.process(to, deadLetterCounter, func() {
+			net.nodes[to].OnMessage(&net.ctxs[to], inPort, payload)
 		})
 		return
 	}
@@ -333,12 +357,12 @@ func (net *Network) deliverTo(addr edgeAddress, payload any) {
 	if tp, ok := payload.(tracedPayload); ok {
 		send, payload = tp.send, tp.payload
 	}
-	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), addr.from, addr.to, payload, send)
+	ref := net.cfg.Tracer.MessageDelivered(net.kernel.Now(), int(addr.from), to, payload, send)
 	inner := payload
-	net.process(addr.to, deadLetterCounter, func() {
+	net.process(to, deadLetterCounter, func() {
 		prev := net.cause
 		net.cause = ref
-		net.nodes[addr.to].OnMessage(net.ctxs[addr.to], addr.inPort, inner)
+		net.nodes[to].OnMessage(&net.ctxs[to], inPort, inner)
 		net.cause = prev
 	})
 }
@@ -350,14 +374,14 @@ func (net *Network) deliverTo(addr edgeAddress, payload any) {
 // instant (a receiver behind a downed edge misses the transmission, counted
 // as a link drop), so a partition cuts a broadcast exactly as it cuts
 // point-to-point traffic.
-func (net *Network) fanoutFunc(u int, addrs []edgeAddress) channel.DeliverFunc {
+func (net *Network) fanoutFunc(u int) channel.DeliverFunc {
 	return func(payload any) {
-		for p, addr := range addrs {
-			if net.life != nil && net.life.portDown(u, p) {
+		for e := net.ports.Start[u]; e < net.ports.Start[u+1]; e++ {
+			if net.life != nil && net.life.edgeDown(int(e)) {
 				net.life.tel.LinkDrops++
 				continue
 			}
-			net.deliverTo(addr, payload)
+			net.deliverTo(edgeAddress{from: int32(u), to: net.ports.To[e], inPort: net.ports.InPort[e]}, payload)
 		}
 	}
 }
@@ -389,7 +413,7 @@ func (net *Network) process(v, counterKind int, work func()) {
 	if net.nextFree[v].After(start) {
 		start = net.nextFree[v]
 	}
-	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(net.ctxs[v].proc)))
+	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(&net.ctxs[v].proc)))
 	net.nextFree[v] = completion
 	net.kernel.AtFunc(completion, work)
 }
@@ -402,11 +426,14 @@ func (net *Network) Run(horizon simtime.Time, maxEvents uint64) error {
 	if net.life != nil {
 		net.life.applyAtTimeZero()
 	}
+	// Most protocols set about one timer per node from Init; making room
+	// for them up front grows the schedule once instead of by copying.
+	net.kernel.Reserve(len(net.nodes))
 	for i, node := range net.nodes {
 		if net.life != nil && net.life.down[i] {
 			continue // crashed from t = 0: Init runs at recovery, if any
 		}
-		node.Init(net.ctxs[i])
+		node.Init(&net.ctxs[i])
 	}
 	if net.life != nil {
 		net.life.install()
@@ -490,22 +517,15 @@ func (net *Network) Kernel() *sim.Kernel { return net.kernel }
 type Context struct {
 	net  *Network
 	id   int
-	r    *rng.Source
-	proc *rng.Source
-
-	// timerCache memoises the fire handler per timer kind. Valid only when
-	// the network has no fault plan and no tracer: a fault guard captures
-	// the node's crash epoch at *set* time and a traced firing captures the
-	// setter's causal ref, so those handlers are necessarily per-set.
-	// Without either, the handler depends only on (node, kind) and one func
-	// value serves every timer of that kind — tick loops set millions.
-	timerCache []sim.Handler
+	r    rng.Source // the node's private stream; Rand hands out &r
+	proc rng.Source // processing-time samples
 }
 
-// maxCachedTimerKinds bounds the per-node handler cache; protocols use
-// small dense kind constants, so anything larger falls back to a fresh
-// closure rather than growing the cache.
-const maxCachedTimerKinds = 64
+// timerKindBits is how many low bits of a fireTimer argument hold the
+// timer kind; the node index fills the rest. Protocols use small dense
+// kind constants, and a kind outside [0, 1<<timerKindBits) takes a
+// per-set closure instead.
+const timerKindBits = 8
 
 // N returns the network size. The paper's election algorithm assumes known
 // ring size n, so this is part of a node's a-priori knowledge.
@@ -521,10 +541,10 @@ func (c *Context) ID() int {
 }
 
 // OutDegree returns the number of outgoing ports.
-func (c *Context) OutDegree() int { return len(c.net.links[c.id]) }
+func (c *Context) OutDegree() int { return int(c.net.ports.Start[c.id+1] - c.net.ports.Start[c.id]) }
 
 // InDegree returns the number of incoming ports.
-func (c *Context) InDegree() int { return len(c.net.cfg.Graph.In(c.id)) }
+func (c *Context) InDegree() int { return c.net.cfg.Graph.InDegree(c.id) }
 
 // Send transmits payload on the given out-port. A send on a link taken
 // down by a scripted outage or partition counts as sent but is dropped at
@@ -538,14 +558,13 @@ func (c *Context) Send(outPort int, payload any) {
 	if c.net.cfg.LocalBroadcast {
 		panic("network: point-to-point Send on a local-broadcast network (use Context.Broadcast)")
 	}
-	links := c.net.links[c.id]
-	if outPort < 0 || outPort >= len(links) {
-		panic(fmt.Sprintf("network: node has %d out-ports, sent on %d", len(links), outPort))
+	if deg := c.OutDegree(); outPort < 0 || outPort >= deg {
+		panic(fmt.Sprintf("network: node has %d out-ports, sent on %d", deg, outPort))
 	}
 	c.net.metrics.MessagesSent++
 	var ref TraceRef
 	if c.net.cfg.Tracer != nil {
-		to := c.net.cfg.Graph.Out(c.id)[outPort]
+		to := int(c.net.ports.To[c.edge(outPort)])
 		ref = c.net.cfg.Tracer.MessageSent(c.net.kernel.Now(), c.id, to, payload, c.net.cause)
 	}
 	if adv := c.net.adv; adv != nil {
@@ -567,15 +586,18 @@ func (c *Context) Send(outPort int, payload any) {
 // traced ref of the logical send, carried across the link with the payload
 // so the delivery can name its cause; zero when tracing is off.
 func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
-	if life := c.net.life; life != nil && life.portDown(c.id, outPort) {
+	if life := c.net.life; life != nil && life.edgeDown(c.edge(outPort)) {
 		life.tel.LinkDrops++
 		return
 	}
 	if c.net.cfg.Tracer != nil {
 		payload = tracedPayload{payload: payload, send: send}
 	}
-	c.net.links[c.id][outPort].Send(payload)
+	c.net.links[c.edge(outPort)].Send(payload)
 }
+
+// edge returns the edge index of the node's out-port p.
+func (c *Context) edge(p int) int { return int(c.net.ports.Start[c.id]) + p }
 
 // Broadcast sends payload to every out-neighbour — the medium-agnostic
 // send for broadcast protocols. On a point-to-point network it loops over
@@ -587,7 +609,7 @@ func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
 // one MessageSent with to = -1 for a radio transmission.
 func (c *Context) Broadcast(payload any) {
 	if !c.net.cfg.LocalBroadcast {
-		for p := range c.net.links[c.id] {
+		for p := range c.OutDegree() {
 			c.Send(p, payload)
 		}
 		return
@@ -637,8 +659,36 @@ func (c *Context) SetLocalTimer(localDelta float64, kind int) *sim.Ticket {
 
 // SetLocalTimerFunc is SetLocalTimer without a cancellation ticket — the
 // allocation-free path for fire-and-forget timers such as tick loops.
+// Without faults and tracing, a timer's handler depends only on (node,
+// kind), so one network-wide handler serves them all with the pair packed
+// into its argument. A fault guard captures the node's crash epoch at set
+// time and a traced firing the setter's causal ref, so those timers take
+// a per-set closure.
 func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
-	c.net.kernel.AtFunc(c.timerInstant(localDelta), c.timerFire(kind))
+	at := c.timerInstant(localDelta)
+	if c.net.life == nil && c.net.cfg.Tracer == nil && kind >= 0 && kind < 1<<timerKindBits {
+		c.net.kernel.AtArg(at, c.net.fire, uint64(c.id)<<timerKindBits|uint64(kind))
+		return
+	}
+	c.net.kernel.AtFunc(at, c.timerFire(kind))
+}
+
+// fireTimer fires the local timer packed into arg by SetLocalTimerFunc.
+func (net *Network) fireTimer(arg uint64) {
+	net.onTimer(int(arg>>timerKindBits), int(arg&(1<<timerKindBits-1)))
+}
+
+// onTimer fires node v's timer of the given kind on a network without
+// faults and tracing.
+func (net *Network) onTimer(v, kind int) {
+	net.metrics.TimersFired++
+	if net.cfg.Processing == nil {
+		net.nodes[v].OnTimer(&net.ctxs[v], kind)
+		return
+	}
+	net.process(v, timerCounter, func() {
+		net.nodes[v].OnTimer(&net.ctxs[v], kind)
+	})
 }
 
 // timerInstant validates localDelta and converts it to the real fire
@@ -656,29 +706,7 @@ func (c *Context) timerInstant(localDelta float64) simtime.Time {
 // here (SetLocalTimer runs inside that event's handler).
 func (c *Context) timerFire(kind int) sim.Handler {
 	if c.net.life == nil && c.net.cfg.Tracer == nil {
-		if kind >= 0 && kind < len(c.timerCache) {
-			if fire := c.timerCache[kind]; fire != nil {
-				return fire
-			}
-		}
-		k := kind
-		fire := func() {
-			c.net.metrics.TimersFired++
-			if c.net.cfg.Processing == nil {
-				c.net.nodes[c.id].OnTimer(c, k)
-				return
-			}
-			c.net.process(c.id, timerCounter, func() {
-				c.net.nodes[c.id].OnTimer(c, k)
-			})
-		}
-		if kind >= 0 && kind < maxCachedTimerKinds {
-			for len(c.timerCache) <= kind {
-				c.timerCache = append(c.timerCache, nil)
-			}
-			c.timerCache[kind] = fire
-		}
-		return fire
+		return func() { c.net.onTimer(c.id, kind) }
 	}
 	setCause := c.net.cause
 	fire := func() {
@@ -704,7 +732,7 @@ func (c *Context) timerFire(kind int) sim.Handler {
 }
 
 // Rand returns the node's private random stream.
-func (c *Context) Rand() *rng.Source { return c.r }
+func (c *Context) Rand() *rng.Source { return &c.r }
 
 // Now returns global simulation time. It exists for measurement and
 // tracing; protocols for asynchronous models must not branch on it (they

@@ -338,6 +338,33 @@ func TestHeterogeneousDeltaIsMaxLinkMean(t *testing.T) {
 	}
 }
 
+// TestHeterogeneousLinksRestartPerNetwork builds two networks in turn
+// from one HeterogeneousFactory: both must number their edges from 0, so
+// their per-edge delay models are the same.
+func TestHeterogeneousLinksRestartPerNetwork(t *testing.T) {
+	links := channel.HeterogeneousFactory(func(edge int) dist.Dist {
+		return dist.NewDeterministic(float64(edge%3 + 1))
+	})
+	means := func() []float64 {
+		net, err := New(Config{Graph: topology.BiRing(5), Links: links, Seed: 3},
+			func(int) Node { return &funcNode{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m []float64
+		for _, l := range net.allLinks {
+			m = append(m, l.MeanDelay())
+		}
+		return m
+	}
+	first, second := means(), means()
+	for e := range first {
+		if want := float64(e%3 + 1); first[e] != want || second[e] != want {
+			t.Fatalf("edge %d means %v then %v, want %v both times", e, first[e], second[e], want)
+		}
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	good := Config{
 		Graph: topology.Ring(2),
@@ -442,6 +469,52 @@ func TestInPortIdentifiesSender(t *testing.T) {
 		if records[i][0].port == records[i][1].port {
 			t.Fatalf("node %d saw the same in-port twice", i)
 		}
+	}
+}
+
+// TestInPortMatchesInAdjacency checks every delivery's in-port against
+// the topology on graphs whose edge insertion order differs from the
+// (sender, out-port) order the network wires links in, over point-to-point
+// links and over the local-broadcast medium.
+func TestInPortMatchesInAdjacency(t *testing.T) {
+	graphs := map[string]*topology.Graph{
+		"biring":   topology.BiRing(5),
+		"complete": topology.Complete(4),
+		"star":     topology.Star(5),
+	}
+	for _, radio := range []bool{false, true} {
+		for name, g := range graphs {
+			checkInPorts(t, name, g, radio)
+		}
+	}
+}
+
+func checkInPorts(t *testing.T, name string, g *topology.Graph, radio bool) {
+	t.Helper()
+	cfg := Config{Graph: g, Seed: 13, LocalBroadcast: radio}
+	if !radio {
+		cfg.Links = channel.RandomDelayFactory(dist.NewExponential(1))
+	}
+	deliveries := 0
+	net, err := New(cfg, func(i int) Node {
+		return &funcNode{
+			init: func(ctx *Context) { ctx.Broadcast(i) },
+			onMessage: func(ctx *Context, port int, payload any) {
+				deliveries++
+				if from := g.In(i)[port]; from != payload.(int) {
+					t.Errorf("%s (radio %v): node %d got node %d's message on in-port %d, which is node %d's", name, radio, i, payload, port, from)
+				}
+			},
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if deliveries != g.EdgeCount() {
+		t.Fatalf("%s (radio %v): %d deliveries, want %d", name, radio, deliveries, g.EdgeCount())
 	}
 }
 

@@ -75,6 +75,21 @@ func (r *Source) Uint64() uint64 {
 // so the derivation tree is stable: deriving "a" then "b" yields the same
 // children as deriving "b" then "a".
 func (r *Source) Derive(label string) *Source {
+	child := r.derive(label)
+	return &child
+}
+
+// DeriveIndexed returns a derived Source for (label, index) pairs, e.g. one
+// stream per node. Equivalent to Derive(label+"/"+itoa(index)) but without
+// string formatting on hot paths. It is Stream(label).At(index) on the
+// heap; loops over many indices should hash the label once via Stream.
+func (r *Source) DeriveIndexed(label string, index int) *Source {
+	out := r.Stream(label).At(index)
+	return &out
+}
+
+// derive is Derive by value.
+func (r *Source) derive(label string) Source {
 	// Mix the label through FNV-1a, then fold in the parent state through
 	// SplitMix64 so that distinct parents give distinct children.
 	const (
@@ -91,20 +106,30 @@ func (r *Source) Derive(label string) *Source {
 	seed = seed ^ rotl(r.s2, 29)
 	var child Source
 	child.reseed(seed)
-	return &child
+	return child
 }
 
-// DeriveIndexed returns a derived Source for (label, index) pairs, e.g. one
-// stream per node. Equivalent to Derive(label+"/"+itoa(index)) but without
-// string formatting on hot paths.
-func (r *Source) DeriveIndexed(label string, index int) *Source {
-	child := r.Derive(label)
+// Stream is the family of indexed Sources one label derives from a parent:
+// Stream(label).At(i) equals *DeriveIndexed(label, i) bit for bit. Taking
+// the Stream once hashes the label once, and At returns Sources by value,
+// so a network can fill a []Source for all its nodes and edges without a
+// heap allocation per stream.
+type Stream struct {
+	base Source // the parent's Derive(label) child
+}
+
+// Stream returns the indexed family of label. Like Derive it does not
+// advance the parent.
+func (r *Source) Stream(label string) Stream { return Stream{base: r.derive(label)} }
+
+// At returns the stream's Source for index.
+func (s Stream) At(index int) Source {
 	// Jump the child by mixing in the index via SplitMix64 reseeding.
-	state := child.s0 ^ (uint64(index)+1)*0x9e3779b97f4a7c15
-	seed := splitMix64(&state) ^ child.s3
+	state := s.base.s0 ^ (uint64(index)+1)*0x9e3779b97f4a7c15
+	seed := splitMix64(&state) ^ s.base.s3
 	var out Source
 	out.reseed(seed)
-	return &out
+	return out
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	mathrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -88,6 +89,77 @@ func TestDeriveIndexedDistinct(t *testing.T) {
 		}
 		first[v] = i
 	}
+}
+
+// TestStreamMatchesDeriveIndexed is the property that lets networks take
+// their streams by value: Stream(label).At(i) equals *DeriveIndexed(label,
+// i) for every label and index, the edge indices included.
+func TestStreamMatchesDeriveIndexed(t *testing.T) {
+	check := func(seed uint64, label string, index int) bool {
+		root := New(seed)
+		want := *root.DeriveIndexed(label, index)
+		got := root.Stream(label).At(index)
+		if got != want {
+			t.Logf("seed %d, Stream(%q).At(%d) = %+v, DeriveIndexed = %+v", seed, label, index, got, want)
+			return false
+		}
+		return true
+	}
+	for _, index := range []int{0, 1, -1, 2, 999_999, math.MaxInt32, math.MaxInt, math.MinInt} {
+		for _, label := range []string{"", "node", "clock", "edge", "proc", "round", "ünïcode/label"} {
+			if !check(7, label, index) {
+				t.FailNow()
+			}
+		}
+	}
+	cfg := &quick.Config{MaxCount: 2000, Rand: mathrand.New(mathrand.NewSource(1))}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDerivationGolden pins Derive, DeriveIndexed and Stream to the
+// values the derivation has always produced: every recorded seed in the
+// repository depends on them.
+func TestDerivationGolden(t *testing.T) {
+	root := New(42)
+	for _, c := range []struct {
+		label      string
+		index      int
+		out0, out1 uint64
+	}{
+		{"edge", 0, 0x8856fd793b5bd024, 0x21203eef92825658},
+		{"node", 999999, 0x989d3aa56aa09d38, 0x9063510fe1e2aa7d},
+		{"", -1, 0x5d3f6b2c2134c5c4, 0xb58337748abe6d2e},
+		{"clock", math.MaxInt, 0x6a14cf73998cdbcb, 0x1f253e3deb0f7cc6},
+		{"round", math.MinInt, 0x2ee12d89785a9b32, 0x3577b9f29fcf8a2e},
+	} {
+		s := root.Stream(c.label).At(c.index)
+		if a, b := s.Uint64(), s.Uint64(); a != c.out0 || b != c.out1 {
+			t.Errorf("Stream(%q).At(%d) starts %#x, %#x; want %#x, %#x", c.label, c.index, a, b, c.out0, c.out1)
+		}
+		d := root.DeriveIndexed(c.label, c.index)
+		if a, b := d.Uint64(), d.Uint64(); a != c.out0 || b != c.out1 {
+			t.Errorf("DeriveIndexed(%q, %d) starts %#x, %#x; want %#x, %#x", c.label, c.index, a, b, c.out0, c.out1)
+		}
+	}
+	if got := root.Derive("faults").Uint64(); got != 0x97d5de145c688cbc {
+		t.Errorf("Derive(%q) starts %#x, want 0x97d5de145c688cbc", "faults", got)
+	}
+}
+
+// TestStreamAllocatesNothing pins the value path at zero allocations.
+func TestStreamAllocatesNothing(t *testing.T) {
+	root := New(3)
+	var sink uint64
+	avg := testing.AllocsPerRun(100, func() {
+		s := root.Stream("node").At(5)
+		sink += s.Uint64()
+	})
+	if avg != 0 {
+		t.Errorf("Stream.At allocates %g objects, want 0", avg)
+	}
+	_ = sink
 }
 
 func TestFloat64Range(t *testing.T) {

@@ -33,6 +33,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"abenet/internal/simtime"
 )
@@ -55,7 +56,7 @@ type Handler func()
 // execution time. It exists so hot paths can reuse one long-lived func value
 // (typically a method value) across many events instead of allocating a
 // fresh closure per event — see Kernel.AtArg.
-type ArgHandler func(arg uint32)
+type ArgHandler func(arg uint64)
 
 // event is one entry in the pending-event set. Events are stored by value
 // inside the heap slice; they are never heap-allocated
@@ -65,7 +66,7 @@ type event struct {
 	seq    uint64 // tie-break: events at equal instants run in schedule order
 	fn     Handler
 	afn    ArgHandler // alternative to fn: runs as afn(arg); see AtArg
-	arg    uint32
+	arg    uint64
 	ticket *Ticket // non-nil only for ticketed (cancellable) events
 	dead   bool    // cancelled; skipped on pop, removed by compaction
 }
@@ -156,7 +157,7 @@ func (k *Kernel) Pending() int { return k.q.live }
 func (k *Kernel) QueueLen() int { return len(k.q.heap) }
 
 // schedule validates and enqueues one event.
-func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint32, ticket *Ticket) {
+func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint64, ticket *Ticket) {
 	if fn == nil && afn == nil {
 		panic("sim: scheduling a nil handler")
 	}
@@ -192,11 +193,22 @@ func (k *Kernel) AtFunc(at simtime.Time, fn Handler) {
 // AtArg schedules fn(arg) to run at instant at, ticketless. Unlike AtFunc,
 // the handler is parameterised, so one long-lived func value (typically a
 // method value) serves arbitrarily many events — no closure allocation per
-// event even when each event needs distinct state. The channel layer's
-// pooled delivery path is the intended caller: arg indexes into its
-// struct-of-arrays payload pool.
-func (k *Kernel) AtArg(at simtime.Time, fn ArgHandler, arg uint32) {
+// event even when each event needs distinct state. The callers are the
+// channel layer's pooled delivery path (arg indexes its slot pool) and the
+// network's local timers (arg packs node and timer kind). The argument is
+// 64 bits wide because it fills padding the event struct has anyway.
+func (k *Kernel) AtArg(at simtime.Time, fn ArgHandler, arg uint64) {
 	k.schedule(at, nil, fn, arg, nil)
+}
+
+// Reserve makes room for n pending events, so a caller that knows its
+// schedule will hold about n events at once (a network setting one timer
+// per node) grows the event slice once instead of by repeated copying.
+// It never shrinks the slice and changes no scheduling behaviour.
+func (k *Kernel) Reserve(n int) {
+	if n > len(k.q.heap) {
+		k.q.heap = slices.Grow(k.q.heap, n-len(k.q.heap))
+	}
 }
 
 // After schedules fn to run d time units from now and returns a

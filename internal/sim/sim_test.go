@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
@@ -769,5 +770,56 @@ func TestPendingQueueLenInvariants(t *testing.T) {
 	check("drained")
 	if k.QueueLen() != 0 {
 		t.Fatalf("drained QueueLen = %d, want 0", k.QueueLen())
+	}
+}
+
+// TestEventStaysCompact pins the event struct at 56 bytes: the 64-bit
+// AtArg argument fills padding the struct had anyway, so widening it
+// costs the heap nothing.
+func TestEventStaysCompact(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 56 {
+		t.Fatalf("event is %d bytes, want 56", size)
+	}
+}
+
+// TestAtArgPassesFullWidthArgument runs AtArg events whose arguments use
+// the high bits, in (instant, schedule) order.
+func TestAtArgPassesFullWidthArgument(t *testing.T) {
+	k := New()
+	var got []uint64
+	fn := func(arg uint64) { got = append(got, arg) }
+	args := []uint64{1 << 63, math.MaxUint64, 0, 42<<32 | 7}
+	k.AtArg(2, fn, args[3])
+	k.AtArg(1, fn, args[0])
+	k.AtArg(1, fn, args[1])
+	k.AtArg(1, fn, args[2])
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range args {
+		if got[i] != want {
+			t.Fatalf("arguments %#x, want %#x", got, args)
+		}
+	}
+}
+
+// TestReserveKeepsSchedule checks that Reserve only makes room: pending
+// events still run in order, and reserving less than is queued is a no-op.
+func TestReserveKeepsSchedule(t *testing.T) {
+	k := New()
+	var order []int
+	for i := 3; i > 0; i-- {
+		k.AtFunc(simtime.Time(i), func() { order = append(order, i) })
+	}
+	k.Reserve(1)
+	k.Reserve(100)
+	if k.QueueLen() != 3 || cap(k.q.heap) < 100 {
+		t.Fatalf("QueueLen %d, capacity %d after Reserve(100)", k.QueueLen(), cap(k.q.heap))
+	}
+	if err := k.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+		t.Fatalf("ran %v, want [1 2 3]", order)
 	}
 }

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -28,6 +29,12 @@ type Graph struct {
 	out [][]int
 	in  [][]int
 
+	// arcs records every edge in insertion order: its tail and its
+	// in-port, the edge's index in in[head]. A tail's out-ports are also
+	// in insertion order, so Ports lays the edges out by (tail, out-port)
+	// in one pass without searching the in-adjacency.
+	arcs []arc
+
 	// RingEmbedding cache: graphs are frozen after construction, and
 	// sweeps run thousands of seeded repetitions against one shared
 	// Graph, so the (possibly backtracking) cycle search must not be
@@ -36,6 +43,11 @@ type Graph struct {
 	ringDone  bool
 	ringPorts []int
 	ringErr   error
+}
+
+// arc is one recorded edge; see Graph.arcs.
+type arc struct {
+	from, inPort int32
 }
 
 // New returns a graph with n nodes and no edges. It panics if n < 1.
@@ -67,6 +79,7 @@ func (g *Graph) AddEdge(u, v int) {
 			panic(fmt.Sprintf("topology: duplicate edge %d->%d", u, v))
 		}
 	}
+	g.arcs = append(g.arcs, arc{from: int32(u), inPort: int32(len(g.in[v]))})
 	g.out[u] = append(g.out[u], v)
 	g.in[v] = append(g.in[v], u)
 	g.ringMu.Lock()
@@ -112,6 +125,47 @@ func (g *Graph) In(u int) []int {
 func (g *Graph) OutDegree(u int) int {
 	g.checkNode(u)
 	return len(g.out[u])
+}
+
+// InDegree returns the number of in-neighbours of u.
+func (g *Graph) InDegree(u int) int {
+	g.checkNode(u)
+	return len(g.in[u])
+}
+
+// Ports is a graph's port table in compressed sparse row form, the layout
+// a network wires its links from: node u's out-ports 0, 1, … are the edges
+// Start[u], Start[u]+1, … < Start[u+1], so edge indices run by (tail,
+// out-port). Edge e leads to node To[e] and arrives there on in-port
+// InPort[e], its position in In(To[e]).
+type Ports struct {
+	Start  []int32 // len N()+1
+	To     []int32 // len EdgeCount()
+	InPort []int32 // len EdgeCount()
+}
+
+// Ports returns the graph's port table, built in one pass over the edges
+// with a fixed number of allocations whatever the graph's size. It panics
+// if the nodes or edges overflow its 32-bit indices.
+func (g *Graph) Ports() Ports {
+	if g.n > math.MaxInt32 || len(g.arcs) > math.MaxInt32 {
+		panic(fmt.Sprintf("topology: %d nodes and %d edges exceed the 32-bit port table", g.n, len(g.arcs)))
+	}
+	start := make([]int32, g.n+1)
+	for u, out := range g.out {
+		start[u+1] = start[u] + int32(len(out))
+	}
+	m := start[g.n]
+	pt := Ports{Start: start, To: make([]int32, m), InPort: make([]int32, m)}
+	fill := make([]int32, g.n) // fill[u]: u's next out-port to place
+	for _, a := range g.arcs {
+		p := fill[a.from]
+		fill[a.from]++
+		e := start[a.from] + p
+		pt.To[e] = int32(g.out[a.from][p])
+		pt.InPort[e] = a.inPort
+	}
+	return pt
 }
 
 // ForEachOut calls fn for each out-neighbour of u without allocating.

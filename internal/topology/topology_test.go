@@ -370,3 +370,58 @@ func TestRingEmbedding(t *testing.T) {
 		t.Fatal("Line must not embed a ring")
 	}
 }
+
+// TestPortsMatchAdjacency checks the port table against the adjacency
+// lists on every family, including graphs whose insertion order differs
+// from (tail, out-port) order: edge Start[u]+p is Out(u)[p], and its
+// in-port is the tail's position in In of the head.
+func TestPortsMatchAdjacency(t *testing.T) {
+	custom := New(5)
+	for _, e := range [][2]int{{3, 1}, {0, 1}, {1, 4}, {4, 0}, {2, 1}, {0, 3}, {1, 2}, {3, 0}} {
+		custom.AddEdge(e[0], e[1])
+	}
+	graphs := map[string]*Graph{
+		"ring":      Ring(6),
+		"biring":    BiRing(5),
+		"line":      Line(4),
+		"star":      Star(5),
+		"complete":  Complete(5),
+		"torus":     Torus(3, 4),
+		"hypercube": Hypercube(3),
+		"random":    RandomConnected(12, 0.3, rng.New(4)),
+		"custom":    custom,
+		"single":    New(1),
+	}
+	for name, g := range graphs {
+		pt := g.Ports()
+		if len(pt.Start) != g.N()+1 || pt.Start[0] != 0 || int(pt.Start[g.N()]) != g.EdgeCount() {
+			t.Fatalf("%s: Start = %v for %d nodes and %d edges", name, pt.Start, g.N(), g.EdgeCount())
+		}
+		if len(pt.To) != g.EdgeCount() || len(pt.InPort) != g.EdgeCount() {
+			t.Fatalf("%s: %d heads and %d in-ports for %d edges", name, len(pt.To), len(pt.InPort), g.EdgeCount())
+		}
+		for u := 0; u < g.N(); u++ {
+			out := g.Out(u)
+			if got := int(pt.Start[u+1] - pt.Start[u]); got != len(out) {
+				t.Fatalf("%s: node %d has %d ports, want %d", name, u, got, len(out))
+			}
+			for p, v := range out {
+				e := pt.Start[u] + int32(p)
+				if int(pt.To[e]) != v {
+					t.Fatalf("%s: edge %d (%d port %d) leads to %d, want %d", name, e, u, p, pt.To[e], v)
+				}
+				in := g.In(v)
+				if ip := pt.InPort[e]; ip < 0 || int(ip) >= len(in) || in[ip] != u {
+					t.Fatalf("%s: edge %d->%d has in-port %d, In(%d) = %v", name, u, v, ip, v, in)
+				}
+			}
+		}
+	}
+}
+
+func TestInDegree(t *testing.T) {
+	g := Star(5)
+	if g.InDegree(0) != 4 || g.InDegree(3) != 1 {
+		t.Fatalf("star in-degrees = %d, %d; want 4, 1", g.InDegree(0), g.InDegree(3))
+	}
+}
