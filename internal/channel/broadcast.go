@@ -47,7 +47,7 @@ func (l *LocalBroadcast) Send(payload any) simtime.Duration {
 	d := simtime.Duration(l.delay.Sample(l.r))
 	l.stats.Sent++
 	l.stats.Transmissions++
-	l.kernel.AfterFunc(d, func() {
+	l.kernel.After(d, func() {
 		// Per-receiver accounting: fanout receptions, each after delay d.
 		l.stats.Delivered += uint64(l.fanout)
 		l.stats.TotalDelay += d.Seconds() * float64(l.fanout)

@@ -272,7 +272,7 @@ func mustPanic(t *testing.T, f func()) {
 // TestSendAllocations pins the hot delivery path's allocation budget: once
 // the link's slot pool and the kernel's event slice have grown, one Send
 // and its delivery on a plain random-delay link allocate nothing — no
-// closure, no kernel event, no ticket.
+// closure and no per-message kernel allocation.
 func TestSendAllocations(t *testing.T) {
 	k := sim.New()
 	r := rng.New(1)

@@ -103,7 +103,7 @@ func (l *Impaired) Send(payload any) simtime.Duration {
 	if l.r.Bool(l.imp.Delay) {
 		l.stats.Delayed++
 		hold := simtime.Duration(l.extra.Sample(l.r))
-		l.kernel.AfterFunc(hold, func() {
+		l.kernel.After(hold, func() {
 			for i := 0; i < copies; i++ {
 				l.inner.Send(payload)
 			}

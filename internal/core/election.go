@@ -225,7 +225,7 @@ func (e *ElectionNode) ActivationProbability() float64 {
 
 // Init implements network.Node: start the local tick loop.
 func (e *ElectionNode) Init(ctx *network.Context) {
-	ctx.SetLocalTimerFunc(e.tickInterval, tickTimer)
+	ctx.SetLocalTimer(e.tickInterval, tickTimer)
 }
 
 // OnTimer implements network.Node: the idle wake-up rule, plus the opt-in
@@ -236,7 +236,7 @@ func (e *ElectionNode) OnTimer(ctx *network.Context, kind int) {
 		return
 	}
 	// The tick loop runs for the node's lifetime; only idle ticks can act.
-	ctx.SetLocalTimerFunc(e.tickInterval, tickTimer)
+	ctx.SetLocalTimer(e.tickInterval, tickTimer)
 	if e.recandidacy > 0 && (e.state == Passive || e.state == Active) &&
 		ctx.LocalTime()-e.lastActivity >= e.recandidacy {
 		// Nothing has flowed past this node for the whole timeout: assume

@@ -21,7 +21,7 @@ func TestSweepPreservesLivelockIdentity(t *testing.T) {
 	_, err := s.Run([]float64{1}, func(x float64, seed uint64) (Metrics, error) {
 		k := sim.New()
 		var spin func()
-		spin = func() { k.AfterFunc(1, spin) }
+		spin = func() { k.After(1, spin) }
 		spin()
 		return nil, k.Run(simtime.Forever, 10)
 	})

@@ -25,7 +25,7 @@ func quietRing(t *testing.T, n int) *Network {
 }
 
 // TestTicketlessTimerAllocatesNothing pins the fault-free, untraced
-// SetLocalTimerFunc path at zero allocations per timer, set and fired: one
+// SetLocalTimer path at zero allocations per timer, set and fired: one
 // network-wide handler serves every (node, kind).
 func TestTicketlessTimerAllocatesNothing(t *testing.T) {
 	net := quietRing(t, 4)
@@ -33,14 +33,14 @@ func TestTicketlessTimerAllocatesNothing(t *testing.T) {
 	net.nodes[2] = &funcNode{onTimer: func(*Context, int) { fired++ }}
 	ctx := &net.ctxs[2]
 	step := func() {
-		ctx.SetLocalTimerFunc(1, 3)
+		ctx.SetLocalTimer(1, 3)
 		if !net.kernel.Step() {
 			t.Fatal("the timer did not fire")
 		}
 	}
 	step() // grow the kernel's event slice
 	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
-		t.Errorf("a ticketless timer allocates %g objects, want 0", avg)
+		t.Errorf("a timer allocates %g objects, want 0", avg)
 	}
 	if fired != 1002 {
 		t.Fatalf("fired %d timers, want 1002", fired)

@@ -119,7 +119,7 @@ func (life *lifecycle) install() {
 			continue
 		}
 		ev := ev
-		life.net.kernel.AtFunc(simtime.Time(ev.At), func() { life.apply(ev) })
+		life.net.kernel.At(simtime.Time(ev.At), func() { life.apply(ev) })
 	}
 	if life.plan.CrashRate > 0 {
 		crashStreams := life.root.Stream("crash")
@@ -138,7 +138,7 @@ func (life *lifecycle) install() {
 // churn never cuts a scripted outage short.
 func (life *lifecycle) scheduleCrash(i int, r *rng.Source) {
 	wait := simtime.Duration(r.ExpFloat64() / life.plan.CrashRate)
-	life.net.kernel.AfterFunc(wait, func() {
+	life.net.kernel.After(wait, func() {
 		if !life.crash(i) {
 			life.scheduleCrash(i, r)
 			return
@@ -151,7 +151,7 @@ func (life *lifecycle) scheduleCrash(i int, r *rng.Source) {
 		// the epoch has moved on and the stale recovery must not fire.
 		ep := life.epoch[i]
 		outage := simtime.Duration(r.ExpFloat64() / life.plan.RecoverRate)
-		life.net.kernel.AfterFunc(outage, func() {
+		life.net.kernel.After(outage, func() {
 			if life.down[i] && life.epoch[i] == ep {
 				life.recover(i)
 			}

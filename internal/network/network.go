@@ -64,12 +64,12 @@ type TraceRef struct {
 }
 
 // Tracer observes network events and assigns each a causal identity.
-// Implementations must not mutate protocol state, and must not schedule or
-// cancel kernel events — a traced run must stay byte-identical to an
-// untraced one. A nil Tracer disables tracing. Each method returns the ref
-// of the event it recorded so the network can hand it to causally
-// downstream events; cause (resp. send, parent) is the ref of the event
-// that led to this one, zero for causal roots.
+// Implementations must not mutate protocol state, and must not schedule
+// kernel events — a traced run must stay byte-identical to an untraced
+// one. A nil Tracer disables tracing. Each method returns the ref of the
+// event it recorded so the network can hand it to causally downstream
+// events; cause (resp. send, parent) is the ref of the event that led to
+// this one, zero for causal roots.
 type Tracer interface {
 	// MessageSent records a logical send from node from to node to (-1 for
 	// a radio broadcast). cause is the event the sender was processing.
@@ -170,7 +170,7 @@ type Network struct {
 	life     *lifecycle                // nil unless cfg.Faults is set
 	adv      *adversary                // nil unless cfg.Byzantine is set
 	bcast    []*channel.LocalBroadcast // per-node radio links (LocalBroadcast mode)
-	fire     sim.ArgHandler            // fireTimer, bound once for every ticketless timer
+	fire     sim.ArgHandler            // fireTimer, bound once for every fault-free untraced timer
 
 	// cause is the ref of the trace event whose handler is currently
 	// running — the delivery or timer being processed — so that sends,
@@ -415,7 +415,7 @@ func (net *Network) process(v, counterKind int, work func()) {
 	}
 	completion := start.Add(simtime.Duration(net.cfg.Processing.Sample(&net.ctxs[v].proc)))
 	net.nextFree[v] = completion
-	net.kernel.AtFunc(completion, work)
+	net.kernel.At(completion, work)
 }
 
 // Run initialises all nodes (in index order at time zero) and executes the
@@ -574,7 +574,7 @@ func (c *Context) Send(outPort int, payload any) {
 		}
 		payload = out
 		if hold > 0 {
-			c.net.kernel.AfterFunc(hold, func() { c.sendOnPort(outPort, payload, ref) })
+			c.net.kernel.After(hold, func() { c.sendOnPort(outPort, payload, ref) })
 			return
 		}
 	}
@@ -632,7 +632,7 @@ func (c *Context) Broadcast(payload any) {
 				payload = tracedPayload{payload: payload, send: ref}
 			}
 			stalled := payload
-			c.net.kernel.AfterFunc(hold, func() { link.Send(stalled) })
+			c.net.kernel.After(hold, func() { link.Send(stalled) })
 			return
 		}
 	}
@@ -648,32 +648,25 @@ func (c *Context) Broadcast(payload any) {
 func (c *Context) LocalTime() float64 { return c.net.clocks[c.id].LocalAt(c.net.kernel.Now()) }
 
 // SetLocalTimer schedules OnTimer(kind) to fire when the node's local clock
-// has advanced by localDelta (> 0). The returned ticket can cancel it.
-// Timers belong to the incarnation that set them: if the node crashes (or
-// crashes and restarts) before the fire instant, the fire is suppressed.
-// Protocols that never cancel their timers should use SetLocalTimerFunc,
-// which skips the ticket allocation.
-func (c *Context) SetLocalTimer(localDelta float64, kind int) *sim.Ticket {
-	return c.net.kernel.At(c.timerInstant(localDelta), c.timerFire(kind))
-}
-
-// SetLocalTimerFunc is SetLocalTimer without a cancellation ticket — the
-// allocation-free path for fire-and-forget timers such as tick loops.
+// has advanced by localDelta (> 0). Timers belong to the incarnation that
+// set them: if the node crashes (or crashes and restarts) before the fire
+// instant, the fire is suppressed.
+//
 // Without faults and tracing, a timer's handler depends only on (node,
 // kind), so one network-wide handler serves them all with the pair packed
-// into its argument. A fault guard captures the node's crash epoch at set
-// time and a traced firing the setter's causal ref, so those timers take
-// a per-set closure.
-func (c *Context) SetLocalTimerFunc(localDelta float64, kind int) {
+// into its argument and setting a timer allocates nothing. A fault guard
+// captures the node's crash epoch at set time and a traced firing the
+// setter's causal ref, so those timers take a per-set closure.
+func (c *Context) SetLocalTimer(localDelta float64, kind int) {
 	at := c.timerInstant(localDelta)
 	if c.net.life == nil && c.net.cfg.Tracer == nil && kind >= 0 && kind < 1<<timerKindBits {
 		c.net.kernel.AtArg(at, c.net.fire, uint64(c.id)<<timerKindBits|uint64(kind))
 		return
 	}
-	c.net.kernel.AtFunc(at, c.timerFire(kind))
+	c.net.kernel.At(at, c.timerFire(kind))
 }
 
-// fireTimer fires the local timer packed into arg by SetLocalTimerFunc.
+// fireTimer fires the local timer packed into arg by SetLocalTimer.
 func (net *Network) fireTimer(arg uint64) {
 	net.onTimer(int(arg>>timerKindBits), int(arg&(1<<timerKindBits-1)))
 }

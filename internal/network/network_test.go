@@ -198,43 +198,6 @@ func TestLocalTimersFollowLocalClocks(t *testing.T) {
 	}
 }
 
-func TestTimerCancellation(t *testing.T) {
-	type canceller struct {
-		ticker // embed for OnMessage
-	}
-	_ = canceller{}
-
-	fired := false
-	node := &funcNode{
-		init: func(ctx *Context) {
-			ticket := ctx.SetLocalTimer(1, 0)
-			if !ticket.Cancel() {
-				t.Error("cancel failed")
-			}
-		},
-		onTimer: func(*Context, int) { fired = true },
-	}
-	net, err := New(Config{
-		Graph: topology.Ring(2),
-		Links: channel.RandomDelayFactory(dist.NewDeterministic(1)),
-		Seed:  4,
-	}, func(i int) Node {
-		if i == 0 {
-			return node
-		}
-		return &funcNode{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("cancelled timer fired")
-	}
-}
-
 // funcNode adapts closures to the Node interface for small tests.
 type funcNode struct {
 	init      func(*Context)

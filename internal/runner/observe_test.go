@@ -42,20 +42,19 @@ func TestObservedRunByteIdentical(t *testing.T) {
 			continue
 		}
 		name := info.Name
-		execute := func(obs *probe.Config) (Report, []trace.Event) {
+		execute := func(obs *probe.Config) Report {
 			p, ok := NewInstance(name)
 			if !ok {
 				t.Fatalf("%s: no registry instance", name)
 			}
-			rec := trace.NewRecorder(0)
-			rep, err := Run(Env{N: 5, Seed: 7, Horizon: 5000, Tracer: rec, Observe: obs}, p)
+			rep, err := Run(Env{N: 5, Seed: 7, Horizon: 5000, Trace: &trace.Config{}, Observe: obs}, p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			return rep, rec.Events()
+			return rep
 		}
-		plain, plainTrace := execute(nil)
-		observed, obsTrace := execute(&probe.Config{EveryEvents: 1, Interval: 0.25})
+		plain := execute(nil)
+		observed := execute(&probe.Config{EveryEvents: 1, Interval: 0.25})
 
 		if observed.Series == nil || len(observed.Series.Samples) == 0 {
 			t.Errorf("%s: observed run produced no samples", name)
@@ -68,13 +67,13 @@ func TestObservedRunByteIdentical(t *testing.T) {
 			t.Errorf("%s: observed metrics differ from unobserved:\n  %v\n  %v",
 				name, plain.Metrics(), observed.Metrics())
 		}
+		if !reflect.DeepEqual(plain.Trace, observed.Trace) {
+			t.Errorf("%s: observed trace differs from unobserved (%d vs %d events)",
+				name, len(plain.Trace.Events), len(observed.Trace.Events))
+		}
 		observed.Series = nil
 		if !reflect.DeepEqual(plain, observed) {
 			t.Errorf("%s: observed report differs from unobserved:\n  %+v\n  %+v", name, plain, observed)
-		}
-		if !reflect.DeepEqual(plainTrace, obsTrace) {
-			t.Errorf("%s: observed trace differs from unobserved (%d vs %d events)",
-				name, len(plainTrace), len(obsTrace))
 		}
 	}
 }

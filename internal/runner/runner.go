@@ -82,10 +82,6 @@ type Env struct {
 	// MaxRounds bounds round-based protocols (synchronous engines and
 	// synchronizers); 0 means each protocol's default.
 	MaxRounds int
-	// Tracer optionally observes event-driven runs; nil disables tracing.
-	// The round engine (ItaiRodehSync) and the live runtime have no event
-	// stream to trace and ignore it.
-	Tracer network.Tracer
 	// Faults optionally injects deterministic message faults, node churn
 	// and link outages (see internal/faults). Honoured by Election,
 	// ChangRoberts, BenOr and ItaiRodehAsync (whose FIFO assumption
@@ -131,8 +127,7 @@ type Env struct {
 	// ben-or); Run rejects a non-nil config on every other protocol with
 	// ErrTraceUnsupported. The exported trace lands in Report.Trace and —
 	// like Series — never changes any other Report field: a traced run is
-	// byte-identical to an untraced one. Mutually exclusive with a
-	// caller-supplied Tracer (Run installs its own recorder).
+	// byte-identical to an untraced one.
 	Trace *trace.Config
 }
 
@@ -157,8 +152,7 @@ var (
 	ErrEnvBroadcast = errors.New("runner: invalid local-broadcast environment")
 	// ErrEnvObserve: the observe config fails probe.Config.Validate.
 	ErrEnvObserve = errors.New("runner: invalid observe config")
-	// ErrEnvTrace: the trace config fails trace.Config.Validate, or Trace
-	// and a caller-supplied Tracer are both set.
+	// ErrEnvTrace: the trace config fails trace.Config.Validate.
 	ErrEnvTrace = errors.New("runner: invalid trace config")
 )
 
@@ -208,9 +202,6 @@ func (e Env) Validate() error {
 	}
 	if err := e.Trace.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrEnvTrace, err)
-	}
-	if e.Trace != nil && e.Tracer != nil {
-		return fmt.Errorf("%w: Trace and a caller-supplied Tracer are exclusive (Run installs its own recorder for Trace)", ErrEnvTrace)
 	}
 	if e.LocalBroadcast {
 		if e.Links != nil {
@@ -342,19 +333,11 @@ func Run(env Env, p Protocol) (Report, error) {
 	if err := CheckCapabilities(env, p); err != nil {
 		return Report{}, err
 	}
-	var rec *trace.Recorder
-	if env.Trace != nil {
-		rec = trace.NewRecorder(env.Trace.MaxEvents)
-		env.Tracer = rec
-	}
 	rep, err := p.Run(env)
 	if err != nil {
 		return Report{}, err
 	}
 	rep.Protocol = p.Name()
-	if rec != nil {
-		rep.Trace = rec.Export()
-	}
 	return rep, nil
 }
 
@@ -397,10 +380,14 @@ func runNetwork(env Env, d deployment) (Report, error) {
 		Processing:     env.Processing,
 		Seed:           env.Seed,
 		Anonymous:      d.anonymous,
-		Tracer:         env.Tracer,
 		Faults:         env.Faults,
 		Byzantine:      env.Byzantine,
 		LocalBroadcast: env.LocalBroadcast,
+	}
+	var rec *trace.Recorder
+	if env.Trace != nil {
+		rec = trace.NewRecorder(env.Trace.MaxEvents)
+		cfg.Tracer = rec
 	}
 	switch {
 	case env.LocalBroadcast:
@@ -460,6 +447,9 @@ func runNetwork(env Env, d deployment) (Report, error) {
 	}
 	if err := d.extract(net, &rep); err != nil {
 		return Report{}, err
+	}
+	if rec != nil {
+		rep.Trace = rec.Export()
 	}
 	return rep, nil
 }

@@ -5,9 +5,11 @@ import (
 
 	"abenet/internal/channel"
 	"abenet/internal/clock"
+	"abenet/internal/core"
 	"abenet/internal/dist"
 	"abenet/internal/network"
 	"abenet/internal/simtime"
+	"abenet/internal/topology"
 	"abenet/internal/trace"
 )
 
@@ -80,21 +82,48 @@ func (t *nullTracer) Decision(at simtime.Time, node int, reason string, cause ne
 	return t.ref()
 }
 
+// benchTracerHook runs traceBenchEnv's election composed by hand from its
+// layers, the way Election.Run composes it: a null tracer is not
+// something an Env can ask for (Env.Trace installs the full Recorder), so
+// both legs hand network.Config the tracer, or none, directly.
 func benchTracerHook(b *testing.B, attach bool) {
 	var events int
 	for i := 0; i < b.N; i++ {
 		env := traceBenchEnv(i)
+		cfg := network.Config{
+			Graph:      topology.Ring(env.N),
+			Links:      env.Links,
+			Clocks:     env.Clocks,
+			Processing: env.Processing,
+			Seed:       env.Seed,
+			Anonymous:  true,
+		}
 		var nt *nullTracer
 		if attach {
 			nt = &nullTracer{}
-			env.Tracer = nt
+			cfg.Tracer = nt
 		}
-		rep, err := Run(env, Election{})
+		nodes := make([]*core.ElectionNode, env.N)
+		net, err := network.New(cfg, func(i int) network.Node {
+			nodes[i], _ = core.NewElectionNode(core.ElectionNodeConfig{
+				RingSize: env.N, A0: core.DefaultA0(env.N), StopOnLeader: true,
+			})
+			return nodes[i]
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Leaders != 1 {
-			b.Fatalf("leaders = %d", rep.Leaders)
+		if err := net.Run(env.Horizon, DefaultMaxEvents); err != nil {
+			b.Fatal(err)
+		}
+		leaders := 0
+		for _, node := range nodes {
+			if node.State() == core.Leader {
+				leaders++
+			}
+		}
+		if leaders != 1 {
+			b.Fatalf("leaders = %d", leaders)
 		}
 		if attach {
 			events += nt.events

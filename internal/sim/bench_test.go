@@ -7,32 +7,10 @@ import (
 	"abenet/internal/simtime"
 )
 
-// The kernel's microbenchmark suite: schedule/run/cancel mixes over the
-// two API tiers. Run with -benchmem — the allocation columns are the
-// numbers the ticketless redesign exists for (see the alloc pins in
-// TestSchedulingAllocations for the hard contract).
-
-// BenchmarkScheduleRunTicketless is BenchmarkScheduleAndRun on the
-// fast path: a self-rescheduling tick chain via AfterFunc, the shape of
-// every tick loop and message delivery in the repository.
-func BenchmarkScheduleRunTicketless(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		k := New()
-		r := rng.New(uint64(i))
-		var tick func()
-		remaining := 1000
-		tick = func() {
-			remaining--
-			if remaining > 0 {
-				k.AfterFunc(simtime.Duration(r.ExpFloat64()), tick)
-			}
-		}
-		k.AtFunc(0, tick)
-		if err := k.Run(simtime.Forever, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The kernel's microbenchmark suite beside BenchmarkScheduleAndRun (a
+// self-rescheduling tick chain, the shape of every tick loop and message
+// delivery in the repository). Run with -benchmem: the allocation columns
+// back the hard contract pinned by TestSchedulingAllocations.
 
 // BenchmarkScheduleBurstDrain schedules 1000 events up front (the network
 // wiring / fault-timeline shape) and drains them.
@@ -42,51 +20,10 @@ func BenchmarkScheduleBurstDrain(b *testing.B) {
 		k := New()
 		r := rng.New(uint64(i))
 		for j := 0; j < 1000; j++ {
-			k.AtFunc(simtime.Time(r.Float64()*1000), fn)
+			k.At(simtime.Time(r.Float64()*1000), fn)
 		}
 		if err := k.Run(simtime.Forever, 0); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkCancelHeavy is the ARQ-retransmit pattern: almost every timer
-// is ticketed and cancelled before it fires. It exercises Cancel and the
-// compaction sweep.
-func BenchmarkCancelHeavy(b *testing.B) {
-	fn := func() {}
-	for i := 0; i < b.N; i++ {
-		k := New()
-		r := rng.New(uint64(i))
-		for j := 0; j < 1000; j++ {
-			t := k.At(simtime.Time(1+r.Float64()*1000), fn)
-			if j%10 != 0 {
-				t.Cancel()
-			}
-		}
-		if err := k.Run(simtime.Forever, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPending measures the O(1) pending counter against a large
-// part-cancelled schedule.
-func BenchmarkPending(b *testing.B) {
-	k := New()
-	fn := func() {}
-	for j := 0; j < 10000; j++ {
-		t := k.At(simtime.Time(1+j), fn)
-		if j%2 == 0 {
-			t.Cancel()
-		}
-	}
-	b.ResetTimer()
-	n := 0
-	for i := 0; i < b.N; i++ {
-		n += k.Pending()
-	}
-	if n == 0 {
-		b.Fatal("pending count vanished")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The observer-overhead pair: the same self-rescheduling tick chain as
-// BenchmarkScheduleRunTicketless, run with the post-event hook detached
+// BenchmarkScheduleAndRun, run with the post-event hook detached
 // and attached. CI compares the two ns/op numbers and fails the build if
 // the attached run costs more than a few percent — the hook is one nil
 // check per event when detached and one indirect call plus a handful of
@@ -26,7 +26,7 @@ func observeWorkload(b *testing.B, attach bool) {
 			k.SetObserver(func() {
 				sink[0] = float64(k.Executed())
 				sink[1] = float64(k.Now())
-				sink[2] = float64(k.Pending())
+				sink[2] = float64(k.QueueLen())
 				sink[3]++
 			})
 		}
@@ -36,10 +36,10 @@ func observeWorkload(b *testing.B, attach bool) {
 		tick = func() {
 			remaining--
 			if remaining > 0 {
-				k.AfterFunc(simtime.Duration(r.ExpFloat64()), tick)
+				k.After(simtime.Duration(r.ExpFloat64()), tick)
 			}
 		}
-		k.AtFunc(0, tick)
+		k.At(0, tick)
 		if err := k.Run(simtime.Forever, 0); err != nil {
 			b.Fatal(err)
 		}

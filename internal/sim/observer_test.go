@@ -48,19 +48,3 @@ func TestObserverFiresAfterEveryEvent(t *testing.T) {
 		t.Fatalf("detached observer fired %d times", fired)
 	}
 }
-
-// TestObserverSeesCancellations: cancelled events never execute, so the
-// observer never fires for them.
-func TestObserverSeesCancellations(t *testing.T) {
-	k := New()
-	fired := 0
-	k.SetObserver(func() { fired++ })
-	ev := k.At(2, func() { t.Error("cancelled event ran") })
-	k.At(1, func() { ev.Cancel() })
-	if err := k.Run(simtime.Forever, 0); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("observer fired %d times, want 1 (only the cancelling event ran)", fired)
-	}
-}

@@ -16,18 +16,11 @@
 // nothing. A calendar queue was measured against it up to 10⁶ nodes and
 // never won, so the heap is the only implementation.
 //
-// Two API tiers sit on top of the heap:
-//
-//   - AtFunc / AfterFunc / AtArg — the ticketless fast path. No per-event
-//     allocation at all; use these whenever the caller never cancels
-//     (message deliveries, self-rescheduling tick loops, fault timelines).
-//   - At / After — allocate one *Ticket so the event can be cancelled
-//     later. Cancellation marks the entry dead in place; dead entries are
-//     skipped on pop and compacted away wholesale once they outnumber the
-//     live ones, so cancel-heavy workloads (ARQ retransmit timers) cannot
-//     bloat the schedule.
-//
-// Pending() is O(1): the heap tracks the live-event count directly.
+// Scheduling is fire-and-forget: At / After take a closure, AtArg a
+// long-lived handler and a 64-bit argument, and none of them returns a
+// handle. Every event the simulator's protocols schedule — message
+// deliveries, self-rescheduling tick loops, fault timelines, synchronizer
+// rounds — runs, so there is no cancellation to pay for.
 package sim
 
 import (
@@ -59,16 +52,13 @@ type Handler func()
 type ArgHandler func(arg uint64)
 
 // event is one entry in the pending-event set. Events are stored by value
-// inside the heap slice; they are never heap-allocated
-// individually.
+// inside the heap slice; they are never heap-allocated individually.
 type event struct {
-	at     simtime.Time
-	seq    uint64 // tie-break: events at equal instants run in schedule order
-	fn     Handler
-	afn    ArgHandler // alternative to fn: runs as afn(arg); see AtArg
-	arg    uint64
-	ticket *Ticket // non-nil only for ticketed (cancellable) events
-	dead   bool    // cancelled; skipped on pop, removed by compaction
+	at  simtime.Time
+	seq uint64 // tie-break: events at equal instants run in schedule order
+	fn  Handler
+	afn ArgHandler // alternative to fn: runs as afn(arg); see AtArg
+	arg uint64
 }
 
 // less orders events by (at, seq). seq is unique per kernel, so the order
@@ -80,37 +70,6 @@ func less(a, b *event) bool {
 	}
 	return a.seq < b.seq
 }
-
-// doneIdx marks a ticket whose event already ran or was cancelled.
-const doneIdx = -1
-
-// Ticket identifies a scheduled event so it can be cancelled. The zero value
-// is not a valid ticket; tickets come from Kernel.At and Kernel.After.
-type Ticket struct {
-	k   *Kernel
-	idx int // heap index of the entry; doneIdx once it ran or was cancelled
-}
-
-// Cancel removes the event from the schedule if it has not run yet. Cancel
-// is idempotent and reports whether the event was actually cancelled (false
-// if it already ran or was already cancelled). The captured handler is
-// released immediately; the storage slot itself is reclaimed lazily (on pop
-// or at the next compaction).
-func (t *Ticket) Cancel() bool {
-	if t == nil || t.k == nil || t.idx == doneIdx {
-		return false
-	}
-	t.k.q.cancel(t)
-	t.idx = doneIdx
-	return true
-}
-
-// Pending reports whether the event is still scheduled.
-func (t *Ticket) Pending() bool { return t != nil && t.k != nil && t.idx != doneIdx }
-
-// compactMinLen is the queue length below which compaction is never
-// worthwhile: popping the few dead entries lazily is cheaper than a sweep.
-const compactMinLen = 64
 
 // Kernel is a discrete-event scheduler. The zero value is not usable; create
 // one with New. Kernel is not safe for concurrent use:
@@ -144,20 +103,11 @@ func (k *Kernel) Executed() uint64 { return k.executed }
 // (at, seq) execution order.
 func (k *Kernel) ScheduleSeq() uint64 { return k.seq }
 
-// Pending returns the number of scheduled (not yet executed, not cancelled)
-// events in O(1). Cancelled events still occupying storage slots are not
-// counted.
-func (k *Kernel) Pending() int { return k.q.live }
-
-// QueueLen returns the number of storage slots currently in use, including
-// cancelled entries that have not been compacted away yet. It exists for
-// capacity accounting and tests: QueueLen−Pending is the dead backlog,
-// and compaction (triggered when dead entries outnumber live ones) keeps
-// QueueLen at most 2·Pending+compactMinLen.
+// QueueLen returns the number of scheduled events that have not run yet.
 func (k *Kernel) QueueLen() int { return len(k.q.heap) }
 
 // schedule validates and enqueues one event.
-func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint64, ticket *Ticket) {
+func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint64) {
 	if fn == nil && afn == nil {
 		panic("sim: scheduling a nil handler")
 	}
@@ -167,38 +117,25 @@ func (k *Kernel) schedule(at simtime.Time, fn Handler, afn ArgHandler, arg uint6
 	if at.Before(k.now) {
 		panic(fmt.Sprintf("sim: scheduling into the past: now %v, requested %v", k.now, at))
 	}
-	k.q.push(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg, ticket: ticket})
+	k.q.push(event{at: at, seq: k.seq, fn: fn, afn: afn, arg: arg})
 	k.seq++
 }
 
-// At schedules fn to run at instant at and returns a cancellation ticket.
-// Scheduling strictly in the past is a programming error and panics;
-// scheduling at the current instant is allowed and runs after all
-// previously scheduled events for that instant. Callers that never cancel
-// should prefer AtFunc, which skips the ticket allocation.
-func (k *Kernel) At(at simtime.Time, fn Handler) *Ticket {
-	t := &Ticket{k: k}
-	k.schedule(at, fn, nil, 0, t)
-	return t
+// At schedules fn to run at instant at. Scheduling strictly in the past
+// is a programming error and panics; scheduling at the current instant is
+// allowed and runs after all previously scheduled events for that instant.
+func (k *Kernel) At(at simtime.Time, fn Handler) {
+	k.schedule(at, fn, nil, 0)
 }
 
-// AtFunc schedules fn to run at instant at, with the same validation as At
-// but no cancellation handle — and therefore no per-event allocation. This
-// is the hot path for the overwhelming share of events (message
-// deliveries, tick loops, fault timelines), which are never cancelled.
-func (k *Kernel) AtFunc(at simtime.Time, fn Handler) {
-	k.schedule(at, fn, nil, 0, nil)
-}
-
-// AtArg schedules fn(arg) to run at instant at, ticketless. Unlike AtFunc,
-// the handler is parameterised, so one long-lived func value (typically a
-// method value) serves arbitrarily many events — no closure allocation per
-// event even when each event needs distinct state. The callers are the
-// channel layer's pooled delivery path (arg indexes its slot pool) and the
-// network's local timers (arg packs node and timer kind). The argument is
-// 64 bits wide because it fills padding the event struct has anyway.
+// AtArg schedules fn(arg) to run at instant at. Unlike At, the handler is
+// parameterised, so one long-lived func value (typically a method value)
+// serves arbitrarily many events — no closure allocation per event even
+// when each event needs distinct state. The callers are the channel
+// layer's pooled delivery path (arg indexes its slot pool) and the
+// network's local timers (arg packs node and timer kind).
 func (k *Kernel) AtArg(at simtime.Time, fn ArgHandler, arg uint64) {
-	k.schedule(at, nil, fn, arg, nil)
+	k.schedule(at, nil, fn, arg)
 }
 
 // Reserve makes room for n pending events, so a caller that knows its
@@ -211,22 +148,13 @@ func (k *Kernel) Reserve(n int) {
 	}
 }
 
-// After schedules fn to run d time units from now and returns a
-// cancellation ticket. It panics if d is negative or non-finite.
-func (k *Kernel) After(d simtime.Duration, fn Handler) *Ticket {
+// After schedules fn to run d time units from now. It panics if d is
+// negative or non-finite.
+func (k *Kernel) After(d simtime.Duration, fn Handler) {
 	if !d.Valid() {
 		panic(fmt.Sprintf("sim: After called with invalid duration %v", d))
 	}
-	return k.At(k.now.Add(d), fn)
-}
-
-// AfterFunc schedules fn to run d time units from now without a ticket —
-// the allocation-free counterpart of After.
-func (k *Kernel) AfterFunc(d simtime.Duration, fn Handler) {
-	if !d.Valid() {
-		panic(fmt.Sprintf("sim: AfterFunc called with invalid duration %v", d))
-	}
-	k.AtFunc(k.now.Add(d), fn)
+	k.At(k.now.Add(d), fn)
 }
 
 // Stop halts the simulation after the currently executing event completes.
@@ -240,9 +168,9 @@ func (k *Kernel) Stop(cause string) {
 // SetObserver installs fn to run immediately after every executed event's
 // handler returns, with the kernel's time and counters already advanced.
 // Observers exist for measurement (time-series probes): they must only
-// read state — scheduling, cancelling, or stopping from an observer would
-// make an observed run diverge from an unobserved one, defeating the
-// byte-identity guarantee the probes depend on. A nil fn removes the hook.
+// read state — scheduling or stopping from an observer would make an
+// observed run diverge from an unobserved one, defeating the byte-identity
+// guarantee the probes depend on. A nil fn removes the hook.
 func (k *Kernel) SetObserver(fn func()) { k.observer = fn }
 
 // StopCause returns the cause passed to the most recent Stop, or "".
@@ -271,10 +199,10 @@ func (k *Kernel) Run(horizon simtime.Time, maxEvents uint64) error {
 		if k.stopped {
 			return ErrStopped
 		}
-		at, ok := k.q.peekTime()
-		if !ok {
+		if len(k.q.heap) == 0 {
 			return nil // drained
 		}
+		at := k.q.heap[0].at
 		if at.After(horizon) {
 			// Leave the event scheduled and halt at the horizon. The clock
 			// only ever moves forward: a horizon already in the past (a
@@ -295,43 +223,19 @@ func (k *Kernel) Run(horizon simtime.Time, maxEvents uint64) error {
 // or returns false if the schedule is empty or the kernel has been stopped
 // — Step honours Stop exactly like Run does (a stopped kernel makes no
 // progress until the stop is observed by the driver). Step ignores any
-// horizon; use StepWithin to bound it. Useful for fine-grained tests and
-// bounded model-checking drivers.
+// horizon. Useful for fine-grained tests and bounded model-checking
+// drivers.
 func (k *Kernel) Step() bool {
-	return k.StepWithin(simtime.Forever)
-}
-
-// StepWithin is Step with a horizon guard, mirroring Run: if the earliest
-// pending event lies strictly beyond horizon, no event runs, virtual time
-// advances to the horizon, and StepWithin returns false with the event
-// still scheduled.
-func (k *Kernel) StepWithin(horizon simtime.Time) bool {
-	if k.stopped {
-		return false
-	}
-	at, ok := k.q.peekTime()
-	if !ok {
-		return false
-	}
-	if at.After(horizon) {
-		if horizon.After(k.now) {
-			k.now = horizon
-		}
+	if k.stopped || len(k.q.heap) == 0 {
 		return false
 	}
 	k.execute()
 	return true
 }
 
-// execute pops the earliest live event (which must exist) and runs it.
+// execute pops the earliest event (which must exist) and runs it.
 func (k *Kernel) execute() {
-	ev, ok := k.q.pop()
-	if !ok {
-		panic("sim: execute with an empty schedule")
-	}
-	if ev.ticket != nil {
-		ev.ticket.idx = doneIdx
-	}
+	ev := k.q.pop()
 	k.now = ev.at
 	k.executed++
 	if ev.afn != nil {

@@ -58,7 +58,7 @@ var _ network.Node = (*clockSyncNode)(nil)
 
 // Init implements network.Node: schedule the first round start.
 func (n *clockSyncNode) Init(ctx *network.Context) {
-	ctx.SetLocalTimerFunc(n.period, 0)
+	ctx.SetLocalTimer(n.period, 0)
 }
 
 // OnTimer implements network.Node: a round boundary on the local clock.
@@ -71,7 +71,7 @@ func (n *clockSyncNode) OnTimer(ctx *network.Context, _ int) {
 	}
 	n.round++
 	if n.round < n.rounds {
-		ctx.SetLocalTimerFunc(n.period, 0)
+		ctx.SetLocalTimer(n.period, 0)
 	}
 }
 

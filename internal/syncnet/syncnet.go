@@ -56,9 +56,9 @@ var _ NodeContext = (*Context)(nil)
 
 // Runner drives a synchronous network.
 type Runner struct {
-	graph     *topology.Graph
+	ports     topology.Ports // out-ports, heads and in-ports per edge
 	nodes     []Node
-	ctxs      []*Context
+	ctxs      []Context
 	inboxes   [][]Message
 	outboxes  [][]Message
 	anonymous bool
@@ -93,26 +93,18 @@ func New(cfg Config, makeNode func(i int) Node) (*Runner, error) {
 	n := cfg.Graph.N()
 	root := rng.New(cfg.Seed)
 	r := &Runner{
-		graph:     cfg.Graph,
+		ports:     cfg.Graph.Ports(),
 		nodes:     make([]Node, n),
-		ctxs:      make([]*Context, n),
+		ctxs:      make([]Context, n),
 		inboxes:   make([][]Message, n),
 		outboxes:  make([][]Message, n),
 		anonymous: cfg.Anonymous,
 	}
-	// Precompute in-port numbering, as in the asynchronous runtime.
-	inPort := make(map[[2]int]int, cfg.Graph.EdgeCount())
-	for v := 0; v < n; v++ {
-		for idx, u := range cfg.Graph.In(v) {
-			inPort[[2]int{u, v}] = idx
-		}
-	}
 	for i := 0; i < n; i++ {
-		r.ctxs[i] = &Context{
+		r.ctxs[i] = Context{
 			runner: r,
 			id:     i,
 			rand:   root.DeriveIndexed("node", i),
-			inPort: inPort,
 		}
 		r.nodes[i] = makeNode(i)
 		if r.nodes[i] == nil {
@@ -131,7 +123,7 @@ func (r *Runner) Step() bool {
 	round := r.rounds
 	// Deliver this round's messages and collect next round's.
 	for i, node := range r.nodes {
-		node.Round(r.ctxs[i], round, r.inboxes[i])
+		node.Round(&r.ctxs[i], round, r.inboxes[i])
 	}
 	r.inboxes, r.outboxes = r.outboxes, r.inboxes
 	for i := range r.outboxes {
@@ -183,7 +175,6 @@ type Context struct {
 	runner *Runner
 	id     int
 	rand   *rng.Source
-	inPort map[[2]int]int
 }
 
 // N returns the network size (known-n assumption).
@@ -198,19 +189,22 @@ func (c *Context) ID() int {
 }
 
 // OutDegree returns the number of out-ports.
-func (c *Context) OutDegree() int { return c.runner.graph.OutDegree(c.id) }
+func (c *Context) OutDegree() int {
+	start := c.runner.ports.Start
+	return int(start[c.id+1] - start[c.id])
+}
 
 // Send queues payload for delivery on the given out-port at the start of
 // the next round.
 func (c *Context) Send(outPort int, payload any) {
-	out := c.runner.graph.Out(c.id)
-	if outPort < 0 || outPort >= len(out) {
-		panic(fmt.Sprintf("syncnet: node has %d out-ports, sent on %d", len(out), outPort))
+	pt := &c.runner.ports
+	if deg := c.OutDegree(); outPort < 0 || outPort >= deg {
+		panic(fmt.Sprintf("syncnet: node has %d out-ports, sent on %d", deg, outPort))
 	}
-	dest := out[outPort]
-	port := c.inPort[[2]int{c.id, dest}]
+	e := int(pt.Start[c.id]) + outPort
+	dest := pt.To[e]
 	c.runner.messages++
-	c.runner.outboxes[dest] = append(c.runner.outboxes[dest], Message{InPort: port, Payload: payload})
+	c.runner.outboxes[dest] = append(c.runner.outboxes[dest], Message{InPort: int(pt.InPort[e]), Payload: payload})
 }
 
 // Rand returns the node's private random stream.

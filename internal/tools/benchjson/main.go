@@ -30,7 +30,7 @@ import (
 )
 
 // benchmark is one benchmark's captured numbers. The allocation fields are
-// pointers so a genuine 0 allocs/op (the kernel's ticketless hot paths)
+// pointers so a genuine 0 allocs/op (the kernel's allocation-free hot paths)
 // survives the round trip distinguishably from "run without -benchmem".
 type benchmark struct {
 	NsPerOp     float64            `json:"ns_per_op"`
