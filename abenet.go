@@ -215,11 +215,11 @@ func Bimodal(fast, slow DelayDist, pSlow float64) DelayDist {
 // per-message loss/duplication/reorder, stochastic crash(-recovery) churn,
 // and scripted events (crashes, link outages, partitions). Set it on
 // Env.Faults; a nil plan keeps every run byte-identical to a fault-free
-// build. Honoured by the event-driven network protocols Election,
-// ChangRoberts and ItaiRodehAsync; the others — including Peterson, whose
-// step protocol requires reliable FIFO channels — reject a non-nil plan.
-// Pair lossy plans with a finite Env.Horizon — a protocol may (correctly)
-// never terminate once its messages are destroyed.
+// build. Honoured by Election, ChangRoberts, ItaiRodehAsync and BenOr; the
+// others — including Peterson, whose step protocol requires reliable FIFO
+// channels — reject a non-nil plan. Pair lossy plans with a finite
+// Env.Horizon — a protocol may (correctly) never terminate once its
+// messages are destroyed.
 type FaultPlan = faults.Plan
 
 // FaultEvent is one scripted fault; build them with CrashAt, RecoverAt,
@@ -282,15 +282,6 @@ type ByzantineTelemetry = byzantine.Telemetry
 // Equivocators returns a plan making nodes 0..k-1 equivocate on every
 // message — the canonical adversary for the local-broadcast separation.
 func Equivocators(k int) *ByzantinePlan { return byzantine.Equivocators(k) }
-
-// ImpairedLinks wraps any link factory with stochastic per-message
-// impairments — the channel-layer mechanism behind FaultPlan's loss,
-// duplication and reorder axes, composable with ARQ and FIFO factories.
-func ImpairedLinks(inner LinkFactory, drop, duplicate, delay float64, extra DelayDist) LinkFactory {
-	return channel.ImpairedFactory(inner, channel.Impairment{
-		Drop: drop, Duplicate: duplicate, Delay: delay, ExtraDelay: extra,
-	})
-}
 
 // ---- Clock models (condition 2: speeds within [s_low, s_high]) ----
 

@@ -8,7 +8,13 @@
 // mean is known, so a network can verify its configuration against a
 // declared δ.
 //
-// Three link families are provided:
+// A link models delay only, as condition 1 does; even loss is a delay
+// here, through retransmission (the ARQ discipline). Injected faults —
+// per-message loss, duplication and reorder, outages, Byzantine roles —
+// are applied by internal/network on its send path, so a link carries
+// exactly the messages that survive them.
+//
+// One pooled link type serves three disciplines:
 //
 //   - Random-delay links (the default): independent per-message delays, so
 //     messages may overtake each other — matching the paper's "the order of
@@ -19,6 +25,9 @@
 //     lossy physical channel with per-transmission success probability p
 //     and stop-and-wait retransmission. The delay is (number of attempts) ×
 //     slot time: unbounded support, expectation slot/p.
+//
+// LocalBroadcast is the radio medium of the local-broadcast model: one
+// transmission, one delay, delivered to every neighbour at one instant.
 package channel
 
 import (
@@ -62,153 +71,28 @@ type Link interface {
 	MeanDelay() float64
 }
 
-// RandomDelay is a link whose per-message delays are independent samples of
-// a delay distribution. Because samples are independent, messages can
-// overtake: the link is not FIFO.
-type RandomDelay struct {
-	kernel  *sim.Kernel
-	delay   dist.Dist
-	r       *rng.Source
-	deliver DeliverFunc
-	stats   Stats
-	pool    deliveryPool
+// NewRandomDelay returns a non-FIFO random-delay link: per-message delays
+// are independent samples of delay, so messages can overtake. All
+// arguments must be non-nil.
+func NewRandomDelay(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) Link {
+	return newLink(k, randomDelay, delay, r, deliver)
 }
 
-var _ Link = (*RandomDelay)(nil)
-
-// NewRandomDelay returns a non-FIFO random-delay link. All arguments must
-// be non-nil.
-func NewRandomDelay(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *RandomDelay {
-	mustLinkArgs(k, delay, r, deliver)
-	l := &RandomDelay{kernel: k, delay: delay, r: r, deliver: deliver}
-	l.pool.init(k, l)
-	return l
+// NewFIFO returns an order-preserving random-delay link: a message's
+// delivery time is the maximum of its own sampled arrival and the
+// previous delivery time.
+func NewFIFO(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) Link {
+	return newLink(k, fifo, delay, r, deliver)
 }
 
-// Send implements Link.
-func (l *RandomDelay) Send(payload any) simtime.Duration {
-	d := simtime.Duration(l.delay.Sample(l.r))
-	l.stats.Sent++
-	l.stats.Transmissions++
-	l.pool.send(l.kernel.Now().Add(d), payload, d)
-	return d
+// NewARQ returns the paper's case (iii) link: each physical transmission
+// attempt takes slot time units and succeeds independently with
+// probability p; the sender retransmits until success. Delay = attempts ×
+// slot, so the delay is unbounded but E[delay] = slot/p exactly (k_avg =
+// 1/p in the paper).
+func NewARQ(k *sim.Kernel, p, slot float64, r *rng.Source, deliver DeliverFunc) Link {
+	return newLink(k, arq, dist.NewRetransmission(p, slot), r, deliver) // validates p and slot
 }
-
-func (l *RandomDelay) deliverOne(payload any, d simtime.Duration) {
-	l.stats.Delivered++
-	l.stats.TotalDelay += d.Seconds()
-	l.deliver(payload)
-}
-
-// Stats implements Link.
-func (l *RandomDelay) Stats() Stats { return l.stats }
-
-// MeanDelay implements Link.
-func (l *RandomDelay) MeanDelay() float64 { return l.delay.Mean() }
-
-// FIFO is a link with random per-message delays whose deliveries are
-// nevertheless forced into send order: a message's delivery time is the
-// maximum of its own sampled arrival and the previous delivery time.
-type FIFO struct {
-	kernel       *sim.Kernel
-	delay        dist.Dist
-	r            *rng.Source
-	deliver      DeliverFunc
-	stats        Stats
-	lastDelivery simtime.Time
-	pool         deliveryPool
-}
-
-var _ Link = (*FIFO)(nil)
-
-// NewFIFO returns an order-preserving random-delay link.
-func NewFIFO(k *sim.Kernel, delay dist.Dist, r *rng.Source, deliver DeliverFunc) *FIFO {
-	mustLinkArgs(k, delay, r, deliver)
-	l := &FIFO{kernel: k, delay: delay, r: r, deliver: deliver}
-	l.pool.init(k, l)
-	return l
-}
-
-// Send implements Link.
-func (l *FIFO) Send(payload any) simtime.Duration {
-	sent := l.kernel.Now()
-	arrival := sent.Add(simtime.Duration(l.delay.Sample(l.r)))
-	if arrival.Before(l.lastDelivery) {
-		arrival = l.lastDelivery
-	}
-	l.lastDelivery = arrival
-	effective := arrival.Sub(sent)
-	l.stats.Sent++
-	l.stats.Transmissions++
-	l.pool.send(arrival, payload, effective)
-	return effective
-}
-
-func (l *FIFO) deliverOne(payload any, effective simtime.Duration) {
-	l.stats.Delivered++
-	l.stats.TotalDelay += effective.Seconds()
-	l.deliver(payload)
-}
-
-// Stats implements Link.
-func (l *FIFO) Stats() Stats { return l.stats }
-
-// MeanDelay returns the mean of the underlying distribution. Note the
-// effective FIFO delay stochastically dominates it (head-of-line blocking),
-// so this is a lower bound on the expected effective delay; for the ABE
-// bound use a distribution whose mean already accounts for queueing, or use
-// RandomDelay links as the paper's model does.
-func (l *FIFO) MeanDelay() float64 { return l.delay.Mean() }
-
-// ARQ is the paper's case (iii) link: each physical transmission attempt
-// takes Slot time units and succeeds independently with probability P; the
-// sender retransmits until success. Delay = attempts × slot, so the delay
-// is unbounded but E[delay] = slot/p exactly (k_avg = 1/p in the paper).
-type ARQ struct {
-	kernel  *sim.Kernel
-	model   dist.Retransmission
-	r       *rng.Source
-	deliver DeliverFunc
-	stats   Stats
-	pool    deliveryPool
-}
-
-var _ Link = (*ARQ)(nil)
-
-// NewARQ returns a lossy stop-and-wait ARQ link with per-attempt success
-// probability p and per-attempt duration slot.
-func NewARQ(k *sim.Kernel, p, slot float64, r *rng.Source, deliver DeliverFunc) *ARQ {
-	model := dist.NewRetransmission(p, slot) // validates p and slot
-	if k == nil || r == nil || deliver == nil {
-		panic("channel: ARQ link requires kernel, rng and deliver")
-	}
-	l := &ARQ{kernel: k, model: model, r: r, deliver: deliver}
-	l.pool.init(k, l)
-	return l
-}
-
-// Send implements Link. It simulates the individual transmission attempts
-// so the physical transmission count is observable (experiment E1).
-func (l *ARQ) Send(payload any) simtime.Duration {
-	attempts := l.model.Attempts(l.r)
-	d := simtime.Duration(float64(attempts) * l.model.SlotTime)
-	l.stats.Sent++
-	l.stats.Transmissions += uint64(attempts)
-	l.pool.send(l.kernel.Now().Add(d), payload, d)
-	return d
-}
-
-func (l *ARQ) deliverOne(payload any, d simtime.Duration) {
-	l.stats.Delivered++
-	l.stats.TotalDelay += d.Seconds()
-	l.deliver(payload)
-}
-
-// Stats implements Link.
-func (l *ARQ) Stats() Stats { return l.stats }
-
-// MeanDelay implements Link: exactly slot/p.
-func (l *ARQ) MeanDelay() float64 { return l.model.Mean() }
 
 // Factory builds one link per directed edge; the network layer calls it
 // while wiring a topology. Implementations must use only the provided
@@ -239,9 +123,10 @@ func FIFOFactory(delay dist.Dist) Factory {
 // ARQFactory returns a Factory producing lossy ARQ links with success
 // probability p and slot duration slot.
 func ARQFactory(p, slot float64) Factory {
-	dist.NewRetransmission(p, slot) // validate eagerly
+	// Validated eagerly, and boxed once so the links share one model.
+	var model dist.Dist = dist.NewRetransmission(p, slot)
 	return func(k *sim.Kernel, edgeRNG *rng.Source, deliver DeliverFunc) Link {
-		return NewARQ(k, p, slot, edgeRNG, deliver)
+		return newLink(k, arq, model, edgeRNG, deliver)
 	}
 }
 

@@ -3,6 +3,7 @@ package channel
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"abenet/internal/dist"
 	"abenet/internal/rng"
@@ -161,7 +162,7 @@ func TestLinkDelaysIndependentAcrossLinks(t *testing.T) {
 	// delay sequences (Definition 1's independence, at link granularity).
 	k := sim.New()
 	root := rng.New(7)
-	mk := func(i int) *RandomDelay {
+	mk := func(i int) Link {
 		return NewRandomDelay(k, dist.NewExponential(1), root.DeriveIndexed("edge", i), func(any) {})
 	}
 	a, b := mk(0), mk(1)
@@ -297,5 +298,14 @@ func TestSendAllocations(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("nothing was delivered")
+	}
+}
+
+// TestLinkStaysCompact pins the pooled link's size: a network holds one
+// link per directed edge (a million on the 10⁶-node ring), so a field
+// added here grows every large run's resident memory.
+func TestLinkStaysCompact(t *testing.T) {
+	if got := unsafe.Sizeof(link{}); got > 184 {
+		t.Errorf("link is %d bytes, want at most 184", got)
 	}
 }

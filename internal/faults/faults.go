@@ -8,8 +8,8 @@
 // injects them during the run:
 //
 //   - stochastic link faults: per-message loss, duplication and extra-delay
-//     (reorder) probabilities, applied by an interceptor wrapped around the
-//     run's link factory (channel.ImpairedFactory);
+//     (reorder) probabilities, applied on the network's send path before a
+//     message reaches its link, whatever the link's delay discipline;
 //   - stochastic node churn: exponential crash and recovery rates — with a
 //     recovery rate the model is crash-recovery (the node restarts with
 //     fresh protocol state, i.e. churn); without one it is crash-stop;
@@ -153,26 +153,10 @@ type Plan struct {
 }
 
 // HasLinkFaults reports whether the plan injects per-message link faults
-// (the part implemented by channel.ImpairedFactory).
+// (Loss, Duplicate or Reorder), the part the network applies on its send
+// path. Point-to-point only: the local-broadcast medium rejects them.
 func (p *Plan) HasLinkFaults() bool {
 	return p != nil && (p.Loss > 0 || p.Duplicate > 0 || p.Reorder > 0)
-}
-
-// HasNodeFaults reports whether the plan can take nodes down (scripted or
-// stochastic).
-func (p *Plan) HasNodeFaults() bool {
-	if p == nil {
-		return false
-	}
-	if p.CrashRate > 0 {
-		return true
-	}
-	for _, ev := range p.Events {
-		if ev.Kind == KindCrash || ev.Kind == KindRecover {
-			return true
-		}
-	}
-	return false
 }
 
 // SortedEvents returns the scripted events ordered by (At, original

@@ -27,11 +27,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends one row of formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.AddRow(strings.Split(fmt.Sprintf(format, args...), "\t")...)
-}
-
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

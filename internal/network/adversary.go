@@ -8,9 +8,9 @@ import (
 )
 
 // adversary drives a byzantine.Plan against a running network: it sits on
-// the send path (Context.Send / Context.Broadcast) — one layer above the
-// per-edge link interceptors — so a role can coordinate what a node tells
-// each of its neighbours. A nil *adversary (Config.Byzantine == nil)
+// the send path (Context.Send / Context.Broadcast), ahead of the per-edge
+// outage check and link faults in sendOnPort, so a role can coordinate
+// what a node tells each of its neighbours. A nil *adversary (Config.Byzantine == nil)
 // disables every hook, leaving the network byte-identical to an
 // adversary-free build.
 //

@@ -3,7 +3,7 @@ package network
 import (
 	"fmt"
 
-	"abenet/internal/channel"
+	"abenet/internal/dist"
 	"abenet/internal/faults"
 	"abenet/internal/rng"
 	"abenet/internal/simtime"
@@ -11,9 +11,9 @@ import (
 
 // lifecycle drives a faults.Plan against a running network: node up/down
 // state, scripted events, stochastic crash/recovery processes, link outage
-// state and the run's fault telemetry. A nil *lifecycle (Config.Faults ==
-// nil) disables every hook, leaving the network byte-identical to a
-// fault-free build.
+// state, per-message link faults and the run's fault telemetry. A nil
+// *lifecycle (Config.Faults == nil) disables every hook, leaving the
+// network byte-identical to a fault-free build.
 type lifecycle struct {
 	net  *Network
 	plan *faults.Plan
@@ -30,6 +30,14 @@ type lifecycle struct {
 	// edge index (see Network.ports).
 	linkOut []bool // linkOut[e]: down via KindLinkDown
 	cutOut  []int  // cutOut[e]: number of active partitions cutting the edge
+
+	// linkRNG[e] draws edge e's per-message loss, duplication and reorder
+	// decisions. It is the edge stream's Derive("impair"), which leaves
+	// the edge stream itself untouched, so the link samples the delays of
+	// the messages that get through exactly as on a fault-free edge. Nil
+	// unless the plan has link faults: then no fault randomness is drawn.
+	linkRNG []rng.Source
+	hold    dist.Dist // the reorder hold-back law
 
 	// openInterval[i] indexes tel.CrashIntervals while node i is down,
 	// -1 otherwise.
@@ -77,17 +85,46 @@ func newLifecycle(net *Network, plan *faults.Plan, root *rng.Source) (*lifecycle
 	for i := range life.openInterval {
 		life.openInterval[i] = -1
 	}
+	if plan.HasLinkFaults() {
+		life.linkRNG = make([]rng.Source, len(net.ports.To))
+		life.hold = plan.ReorderDelay
+		if life.hold == nil {
+			life.hold = dist.NewExponential(1)
+		}
+	}
 	return life, nil
 }
 
-// impairment translates the plan's link-fault axes into the channel-layer
-// interceptor configuration.
-func impairment(plan *faults.Plan) channel.Impairment {
-	return channel.Impairment{
-		Drop:       plan.Loss,
-		Duplicate:  plan.Duplicate,
-		Delay:      plan.Reorder,
-		ExtraDelay: plan.ReorderDelay,
+// send hands payload to edge e's link through the plan's per-message link
+// faults, drawn from the edge's fault stream in a fixed order: loss, then
+// duplication, then reorder and its hold-back sample. rng.Bool draws
+// nothing for p = 0, so a disabled axis leaves the stream untouched. A
+// duplicate samples its own link delay, so it may overtake the original;
+// held copies reach the link when the hold ends, whatever the edge's
+// outage state by then.
+func (life *lifecycle) send(e int, payload any) {
+	link, r := life.net.links[e], &life.linkRNG[e]
+	if r.Bool(life.plan.Loss) {
+		life.tel.MessagesDropped++
+		return
+	}
+	copies := 1
+	if r.Bool(life.plan.Duplicate) {
+		life.tel.MessagesDuplicated++
+		copies = 2
+	}
+	if r.Bool(life.plan.Reorder) {
+		life.tel.MessagesDelayed++
+		hold := simtime.Duration(life.hold.Sample(r))
+		life.net.kernel.After(hold, func() {
+			for range copies {
+				link.Send(payload)
+			}
+		})
+		return
+	}
+	for range copies {
+		link.Send(payload)
 	}
 }
 
@@ -299,18 +336,9 @@ func (life *lifecycle) guard(v int, suppressed *uint64, work func()) func() {
 	}
 }
 
-// telemetry snapshots the run's fault telemetry, folding in the per-link
-// impairment counters.
+// telemetry snapshots the run's fault telemetry.
 func (life *lifecycle) telemetry() *faults.Telemetry {
 	tel := life.tel
 	tel.CrashIntervals = append([]faults.CrashInterval(nil), life.tel.CrashIntervals...)
-	for _, l := range life.net.allLinks {
-		if rep, ok := l.(channel.ImpairmentReporter); ok {
-			st := rep.ImpairmentStats()
-			tel.MessagesDropped += st.Dropped
-			tel.MessagesDuplicated += st.Duplicated
-			tel.MessagesDelayed += st.Delayed
-		}
-	}
 	return &tel
 }

@@ -1,7 +1,9 @@
 package network
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"abenet/internal/channel"
@@ -373,7 +375,7 @@ func TestStochasticChurnIsDeterministic(t *testing.T) {
 
 // TestEmptyPlanMatchesNilPlan pins the Faults == nil equivalence at the
 // network layer: a zero plan must not perturb a single delivery, because
-// the interceptor is only installed for non-zero link faults and the
+// link-fault streams exist only for non-zero link faults and the
 // lifecycle's derived RNG never advances the root streams.
 func TestEmptyPlanMatchesNilPlan(t *testing.T) {
 	run := func(plan *faults.Plan) (Metrics, int) {
@@ -408,5 +410,152 @@ func TestInvalidPlanRejectedAtBuild(t *testing.T) {
 	}, func(int) Node { return &beacon{} })
 	if err == nil {
 		t.Fatal("out-of-range fault event must fail the build")
+	}
+}
+
+// burst builds an n-node ring in which node 0 sends the payloads
+// 0..msgs-1 on its out-edge 0→1 (net.links[0]) from Init, runs it to
+// quiescence, and returns node 1's deliveries and their instants. Nodes
+// 2..n-1 stay idle.
+func burst(t *testing.T, n int, links channel.Factory, plan *faults.Plan, msgs int) (*Network, []int, []simtime.Time) {
+	t.Helper()
+	var got []int
+	var at []simtime.Time
+	net, err := New(Config{Graph: topology.Ring(n), Links: links, Seed: 5, Faults: plan}, func(i int) Node {
+		switch i {
+		case 0:
+			return &funcNode{init: func(ctx *Context) {
+				for m := range msgs {
+					ctx.Send(0, m)
+				}
+			}}
+		case 1:
+			return &funcNode{onMessage: func(ctx *Context, _ int, payload any) {
+				got = append(got, payload.(int))
+				at = append(at, ctx.Now())
+			}}
+		}
+		return &funcNode{}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Run(simtime.Forever, 0); err != nil {
+		t.Fatal(err)
+	}
+	return net, got, at
+}
+
+// TestLinkLossDropRate checks the plan's Loss axis on the send path: the
+// drop rate matches, every message is either dropped or delivered, and
+// the link never sees a dropped message.
+func TestLinkLossDropRate(t *testing.T) {
+	const msgs = 20000
+	net, got, _ := burst(t, 2, channel.RandomDelayFactory(dist.NewDeterministic(1)), &faults.Plan{Loss: 0.25}, msgs)
+	tel := net.FaultTelemetry()
+	if tel.MessagesDropped == 0 || tel.MessagesDuplicated != 0 || tel.MessagesDelayed != 0 {
+		t.Fatalf("telemetry = %+v", tel)
+	}
+	if rate := float64(tel.MessagesDropped) / msgs; rate < 0.23 || rate > 0.27 {
+		t.Fatalf("drop rate %.4f far from 0.25", rate)
+	}
+	if n := uint64(len(got)) + tel.MessagesDropped; n != msgs {
+		t.Fatalf("delivered %d + dropped %d != sent %d", len(got), tel.MessagesDropped, msgs)
+	}
+	if sent := net.links[0].Stats().Sent; sent != uint64(len(got)) {
+		t.Fatalf("link carried %d messages, want the %d delivered", sent, len(got))
+	}
+	if m := net.Metrics(); m.MessagesSent != msgs || m.Transmissions != uint64(len(got)) {
+		t.Fatalf("metrics = %+v, want %d sent and %d transmissions", m, msgs, len(got))
+	}
+}
+
+// TestLinkDuplicateAndHoldBack checks the Duplicate and Reorder axes
+// together with Loss: delivered = sent − dropped + duplicated, the
+// duplicate rate holds among the messages that survive loss, and held
+// messages arrive after the hold-back and overtaken by later sends.
+func TestLinkDuplicateAndHoldBack(t *testing.T) {
+	const msgs = 10000
+	plan := &faults.Plan{Loss: 0.1, Duplicate: 0.5, Reorder: 0.5, ReorderDelay: dist.NewDeterministic(10)}
+	net, got, at := burst(t, 2, channel.RandomDelayFactory(dist.NewExponential(1)), plan, msgs)
+	tel := net.FaultTelemetry()
+	if tel.MessagesDropped == 0 || tel.MessagesDuplicated == 0 || tel.MessagesDelayed == 0 {
+		t.Fatalf("telemetry = %+v", tel)
+	}
+	if n, want := uint64(len(got)), msgs-tel.MessagesDropped+tel.MessagesDuplicated; n != want {
+		t.Fatalf("delivered %d, want sent − dropped + duplicated = %d", n, want)
+	}
+	if rate := float64(tel.MessagesDuplicated) / float64(msgs-tel.MessagesDropped); rate < 0.46 || rate > 0.54 {
+		t.Fatalf("duplicate rate %.4f far from 0.5", rate)
+	}
+	late, overtaken := 0, false
+	for i, v := range got {
+		if at[i] >= 10 {
+			late++
+		}
+		if i > 0 && v < (got)[i-1] {
+			overtaken = true
+		}
+	}
+	if late == 0 || !overtaken {
+		t.Fatalf("hold-back left no trace: %d deliveries at t >= 10, overtaken %v", late, overtaken)
+	}
+}
+
+// TestLinkLossKeepsARQRetries checks that loss on the send path composes
+// with ARQ links: the surviving messages keep their retransmissions and
+// the declared δ stays the ARQ mean slot/p.
+func TestLinkLossKeepsARQRetries(t *testing.T) {
+	const msgs = 5000
+	net, got, _ := burst(t, 2, channel.ARQFactory(0.5, 1), &faults.Plan{Loss: 0.2}, msgs)
+	st := net.links[0].Stats()
+	if st.Transmissions <= st.Sent {
+		t.Fatalf("ARQ under loss lost its retries: %+v", st)
+	}
+	if dropped := net.FaultTelemetry().MessagesDropped; uint64(len(got))+dropped != msgs {
+		t.Fatalf("delivered %d + dropped %d != %d", len(got), dropped, msgs)
+	}
+	if d := net.MaxLinkMeanDelay(); d != 2 { // slot/p = 1/0.5
+		t.Fatalf("MaxLinkMeanDelay = %g, want the ARQ mean 2", d)
+	}
+}
+
+// TestCrashOnlyPlanLeavesLinksAlone checks that a plan without link faults
+// draws no link-fault randomness and moves no delivery: node 1 receives
+// every message at the instant it does in a fault-free run, while the
+// scripted crash of the idle node 2 still takes effect.
+func TestCrashOnlyPlanLeavesLinksAlone(t *testing.T) {
+	links := channel.RandomDelayFactory(dist.NewExponential(1))
+	_, wantGot, wantAt := burst(t, 3, links, nil, 200)
+	net, got, at := burst(t, 3, links, &faults.Plan{Events: []faults.Event{faults.CrashAt(0.5, 2)}}, 200)
+	if net.life.linkRNG != nil {
+		t.Fatal("a crash-only plan allocated link-fault streams")
+	}
+	if tel := net.FaultTelemetry(); tel.Crashes != 1 || tel.MessagesDropped+tel.MessagesDuplicated+tel.MessagesDelayed != 0 {
+		t.Fatalf("telemetry = %+v, want one crash and no link faults", tel)
+	}
+	if !reflect.DeepEqual(got, wantGot) || !reflect.DeepEqual(at, wantAt) {
+		t.Fatal("a crash-only plan moved deliveries on a link it does not touch")
+	}
+}
+
+// TestLinkFaultProbabilitiesRejectedAtBuild checks that a Loss, Duplicate
+// or Reorder probability outside [0, 1] fails network construction.
+func TestLinkFaultProbabilitiesRejectedAtBuild(t *testing.T) {
+	for _, plan := range []*faults.Plan{
+		{Loss: 1.5},
+		{Loss: -0.1},
+		{Duplicate: 1.5},
+		{Reorder: -0.5},
+		{Reorder: math.NaN()},
+	} {
+		_, err := New(Config{
+			Graph:  topology.Ring(3),
+			Links:  channel.RandomDelayFactory(dist.NewExponential(1)),
+			Faults: plan,
+		}, func(int) Node { return &beacon{} })
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Fatalf("plan %+v: build error %v, want an out-of-range rejection", plan, err)
+		}
 	}
 }

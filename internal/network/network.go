@@ -126,8 +126,10 @@ type Config struct {
 	// Tracer observes events; nil disables tracing.
 	Tracer Tracer
 	// Faults optionally injects deterministic message faults, node churn
-	// and link outages (see internal/faults). Nil disables the subsystem
-	// entirely: the run is byte-identical to one without it.
+	// and link outages (see internal/faults). Outages and the per-message
+	// Loss/Duplicate/Reorder draws act on the send path, in front of the
+	// links, so they compose with any link factory. Nil disables the
+	// subsystem entirely: the run is byte-identical to one without it.
 	Faults *faults.Plan
 	// Byzantine optionally assigns adversarial roles to nodes (see
 	// internal/byzantine): equivocation, omission, corruption and
@@ -238,12 +240,6 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 			return nil, fmt.Errorf("network: %w", err)
 		}
 		net.life = life
-		if cfg.Faults.HasLinkFaults() {
-			// The interceptor derives its stream off each edge stream, so
-			// the inner links sample exactly as they would unwrapped.
-			cfg.Links = channel.ImpairedFactory(cfg.Links, impairment(cfg.Faults))
-			net.cfg.Links = cfg.Links
-		}
 	}
 	if cfg.Byzantine != nil {
 		adv, err := newAdversary(net, cfg.Byzantine, root)
@@ -301,6 +297,9 @@ func New(cfg Config, makeNode func(i int) Node) (*Network, error) {
 			for e := ports.Start[u]; e < ports.Start[u+1]; e++ {
 				r := &streams[n+int(e)]
 				*r = edgeStreams.At(int(e))
+				if net.life != nil && net.life.linkRNG != nil {
+					net.life.linkRNG[e] = *r.Derive("impair")
+				}
 				addr := edgeAddress{from: int32(u), to: ports.To[e], inPort: ports.InPort[e]}
 				link := cfg.Links(net.kernel, r, net.deliverFunc(addr))
 				if link == nil {
@@ -547,13 +546,14 @@ func (c *Context) OutDegree() int { return int(c.net.ports.Start[c.id+1] - c.net
 func (c *Context) InDegree() int { return c.net.cfg.Graph.InDegree(c.id) }
 
 // Send transmits payload on the given out-port. A send on a link taken
-// down by a scripted outage or partition counts as sent but is dropped at
-// the link boundary (messages already in flight still arrive). Under a
-// byzantine.Plan the sender's role intercepts the message here — a Mute
-// send still counts as sent (the protocol instance believes it sent), and
-// a Stall holds the message back before it reaches the link. On a
-// local-broadcast network Send panics: the radio medium has no addressable
-// point-to-point links; protocols use Broadcast.
+// down by a scripted outage or partition, or lost to the fault plan's
+// Loss, counts as sent but is dropped at the link boundary (messages
+// already in flight still arrive). Under a byzantine.Plan the sender's
+// role intercepts the message here — a Mute send still counts as sent
+// (the protocol instance believes it sent), and a Stall holds the message
+// back before it reaches the link. On a local-broadcast network Send
+// panics: the radio medium has no addressable point-to-point links;
+// protocols use Broadcast.
 func (c *Context) Send(outPort int, payload any) {
 	if c.net.cfg.LocalBroadcast {
 		panic("network: point-to-point Send on a local-broadcast network (use Context.Broadcast)")
@@ -582,18 +582,25 @@ func (c *Context) Send(outPort int, payload any) {
 }
 
 // sendOnPort puts payload on the outPort link, honouring scripted link
-// outages at the (possibly stalled) transmission instant. send is the
-// traced ref of the logical send, carried across the link with the payload
-// so the delivery can name its cause; zero when tracing is off.
+// outages at the (possibly stalled) transmission instant and then the
+// plan's per-message loss, duplication and reorder. send is the traced ref
+// of the logical send, carried across the link with the payload so the
+// delivery can name its cause; zero when tracing is off.
 func (c *Context) sendOnPort(outPort int, payload any, send TraceRef) {
-	if life := c.net.life; life != nil && life.edgeDown(c.edge(outPort)) {
+	e := c.edge(outPort)
+	life := c.net.life
+	if life != nil && life.edgeDown(e) {
 		life.tel.LinkDrops++
 		return
 	}
 	if c.net.cfg.Tracer != nil {
 		payload = tracedPayload{payload: payload, send: send}
 	}
-	c.net.links[c.edge(outPort)].Send(payload)
+	if life != nil && life.linkRNG != nil {
+		life.send(e, payload)
+		return
+	}
+	c.net.links[e].Send(payload)
 }
 
 // edge returns the edge index of the node's out-port p.

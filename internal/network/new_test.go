@@ -37,7 +37,7 @@ func newElectionRing(g *topology.Graph, seed uint64) (*network.Network, error) {
 
 // TestNewAllocationsPerNode pins network construction's allocation budget
 // on a ring with the election node: per node, the node itself and, per
-// edge, the delivery callback, the link and its pool's event handler —
+// edge, the delivery callback, the link and its batch-event handler —
 // everything else is allocated once per network.
 func TestNewAllocationsPerNode(t *testing.T) {
 	const n = 1000

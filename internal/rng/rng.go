@@ -211,12 +211,3 @@ func (r *Source) Perm(n int) []int {
 	}
 	return p
 }
-
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function, as in math/rand.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -342,22 +342,6 @@ func TestPermUniformish(t *testing.T) {
 	}
 }
 
-func TestShuffleMatchesPerm(t *testing.T) {
-	a := New(14)
-	b := New(14)
-	p := a.Perm(20)
-	s := make([]int, 20)
-	for i := range s {
-		s[i] = i
-	}
-	b.Shuffle(20, func(i, j int) { s[i], s[j] = s[j], s[i] })
-	for i := range p {
-		if p[i] != s[i] {
-			t.Fatalf("Shuffle and Perm disagree at %d: %v vs %v", i, p, s)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

@@ -194,54 +194,3 @@ func Quantile(values []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Histogram counts observations into equal-width bins over [Low, High).
-// Values outside the range are clamped into the edge bins so totals are
-// preserved.
-type Histogram struct {
-	Low, High float64
-	Counts    []uint64
-	total     uint64
-}
-
-// NewHistogram creates a histogram with the given range and bin count.
-func NewHistogram(low, high float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if !(high > low) {
-		return nil, fmt.Errorf("stats: histogram range [%g, %g) is empty", low, high)
-	}
-	return &Histogram{Low: low, High: high, Counts: make([]uint64, bins)}, nil
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Low) / (h.High - h.Low))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fraction returns the share of observations in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.High - h.Low) / float64(len(h.Counts))
-	return h.Low + width*(float64(i)+0.5)
-}

@@ -238,49 +238,6 @@ func TestQuantileErrors(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[4] != 2 {
-		t.Fatalf("counts = %v", h.Counts)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("bin 0 centre = %v", got)
-	}
-	if got := h.Fraction(0); math.Abs(got-2.0/7.0) > 1e-12 {
-		t.Fatalf("fraction = %v", got)
-	}
-}
-
-func TestHistogramClampsOutliers(t *testing.T) {
-	h, err := NewHistogram(0, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(-100)
-	h.Add(100)
-	if h.Counts[0] != 1 || h.Counts[1] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(1, 1, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
 func TestSampleMeanMatchesDirectComputationProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

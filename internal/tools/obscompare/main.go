@@ -1,18 +1,25 @@
 // Command obscompare gates the observer overhead in CI. It reads
 // `go test -bench` output on stdin, takes the best (minimum) ns/op for a
-// baseline benchmark and an observed benchmark across however many -count
+// baseline benchmark and an observed benchmark across however many
 // repetitions ran, and exits non-zero if the observed best exceeds the
 // baseline best by more than -max-overhead.
 //
-// Best-of-N with a repeated count is the standard way to compare paired
+// Best-of-N over repeated runs is the standard way to compare paired
 // microbenchmarks: the minimum is the least-noisy estimate of the true
 // cost, so a persistent gap survives while scheduler jitter does not.
+// Alternate the two legs rather than running all of one before the other
+// (as -count N does), so a slow phase of the host hits both.
 //
-// Usage:
+// Usage (CI's observer gate; the tracer gate is the same over
+// ./internal/runner's BenchmarkTracerDetached/Attached at 500x):
 //
-//	go test -run '^$' -bench 'Observer(Detached|Attached)' -benchtime 2000x -count 6 ./internal/sim \
-//	    | go run ./internal/tools/obscompare \
-//	        -baseline BenchmarkObserverDetached -observed BenchmarkObserverAttached -max-overhead 0.05
+//	go test -c -o sim.test ./internal/sim
+//	for round in 1 2 3 4 5 6; do
+//	    for leg in Detached Attached; do
+//	        ./sim.test -test.run '^$' -test.bench "^BenchmarkObserver$leg\$" -test.benchtime 2000x -test.count 1
+//	    done
+//	done | go run ./internal/tools/obscompare \
+//	    -baseline BenchmarkObserverDetached -observed BenchmarkObserverAttached -max-overhead 0.05
 package main
 
 import (
